@@ -239,8 +239,8 @@ class Sanitizer:
     ) -> None:
         """Spot-check one deferred read-miss expansion (first of each epoch).
 
-        The fused/deferred expansion must emit specs the scalar oracle
-        would: the first gating request is the data line itself, every
+        The expansion must emit the specs a plain metadata walk would:
+        the first gating request is the data line itself, every
         gating spec is a READ stamped with this miss's time and core, and
         each metadata address matches an independent recomputation from
         ``TimingMetadataMap`` (counter line, a prefix of the tree path,
@@ -308,8 +308,8 @@ class Sanitizer:
     ) -> None:
         """The epoch flush must be a faithful 1:1 materialisation: one
         request per buffered spec, same fields in the same order, with
-        consecutive sequence numbers — i.e. indistinguishable from the
-        scalar engine enqueuing each spec the moment it was emitted."""
+        consecutive sequence numbers — i.e. indistinguishable from
+        enqueuing each spec the moment it was emitted."""
         self._enter("epoch_flush")
         if len(specs) != len(requests):
             self._fail(

@@ -40,7 +40,7 @@ MISS_CLEAN = CacheAccessResult(hit=False)
 
 #: Sentinel distinguishing "tag absent" from a clean (False) dirty bit.
 #: Public under ``ABSENT`` for fused hot paths that inline the dict probe
-#: (the secure engine's columnar expansion, the system's warmup replay).
+#: (the secure engine's metadata walks, the system's read/write/warm-up).
 _ABSENT = object()
 ABSENT = _ABSENT
 

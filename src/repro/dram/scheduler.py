@@ -5,17 +5,13 @@ write queue crosses its high watermark, continuing until the low watermark.
 Within a class, First-Ready (row hit) requests go first, ties broken by age
 — the classic FR-FCFS policy.
 
-Two choosers implement that policy:
-
-* :meth:`FrFcfsScheduler.choose` — the reference scan over plain request
-  lists, O(queue) per decision. Kept as the oracle for the randomized
-  equivalence test and for small ad-hoc callers.
-* :meth:`FrFcfsScheduler.choose_indexed` — decision over two
-  :class:`BankIndexedPool` structures in O(log queue) amortised: a lazy
-  age heap answers "oldest request", a lazy row-hit heap answers "oldest
-  request whose row is open", and per-bank / per-(bank, row) FIFO
-  sub-queues keep both heaps fed as requests are admitted, scheduled, and
-  banks switch rows.
+:meth:`FrFcfsScheduler.choose_indexed` decides over two
+:class:`BankIndexedPool` structures in O(log queue) amortised: a lazy age
+heap answers "oldest request", a lazy row-hit heap answers "oldest request
+whose row is open", and per-bank / per-(bank, row) FIFO sub-queues keep
+both heaps fed as requests are admitted, scheduled, and banks switch rows.
+The O(queue) scan it must agree with decision for decision is
+``reference_choose`` in ``tests/oracles.py``.
 
 Index invariants (checked by the randomized cross-test; see also
 DESIGN.md "Performance engineering"):
@@ -35,7 +31,6 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional
 
-from repro.dram.channel import ChannelState
 from repro.telemetry import get_registry
 
 
@@ -236,46 +231,16 @@ class FrFcfsScheduler:
             self._t_drain_bursts.inc()
             self._t_write_queue_depth.record(write_queue_depth)
 
-    def choose(
-        self,
-        channel: ChannelState,
-        reads: List,
-        writes: List,
-    ) -> Optional[object]:
-        """Select the next request (from ``reads``/``writes``) or None.
-
-        Reference O(queue) scan, kept as the oracle the indexed chooser is
-        cross-checked against. Request objects must expose
-        .flat_bank/.row/.arrival attributes. Row-hit classification reads
-        the channel's flat ``open_rows`` table (one index + compare per
-        candidate) instead of chasing per-bank state.
-        """
-        self.update_drain_mode(len(writes), len(reads))
-        queue = writes if (self.draining and writes) else reads
-        if not queue:
-            queue = writes if writes else reads
-        if not queue:
-            return None
-        open_rows = channel.open_rows
-        best = None
-        best_key = None
-        for request in queue:
-            hit = open_rows[request.flat_bank] == request.row
-            key = (0 if hit else 1, request.arrival)
-            if best_key is None or key < best_key:
-                best, best_key = request, key
-        return best
-
     def choose_indexed(
         self,
         read_pool: BankIndexedPool,
         write_pool: BankIndexedPool,
     ) -> Optional[object]:
-        """Indexed FR-FCFS decision — same policy as :meth:`choose`.
+        """Select the next request from the two pools, or None.
 
-        Drain-mode selection is identical (same hysteresis side effects);
-        within the selected pool the (row-hit, oldest) pick resolves by
-        heap peeks instead of a scan.
+        Drain mode (with its hysteresis side effects) picks the pool;
+        within it the (row-hit, oldest) pick resolves by heap peeks
+        instead of a scan.
         """
         self.update_drain_mode(len(write_pool), len(read_pool))
         pool = write_pool if (self.draining and len(write_pool)) else read_pool

@@ -11,10 +11,8 @@ versions:
 * ``scheduler_choose_indexed`` — the indexed FR-FCFS chooser in isolation
   (``BankIndexedPool`` add/choose/remove churn, no DRAM timing)
 * ``rob_advance``       — trace-driven core fetch/retire with resolved reads
-* ``miss_expansion``    — secure-engine metadata expansion of LLC misses
-  (the production epoch-deferred fused path; ``miss_expansion_batch`` is
-  the columnar numpy-batch driver, ``miss_expansion_reference`` the
-  retained scalar oracle they are measured against)
+* ``miss_expansion``    — secure-engine metadata expansion of LLC misses,
+  driven as the system simulator drives it (per-epoch flushes)
 * ``telemetry_record``  — counter/histogram recording through a registry
 * ``context_scope``     — :func:`repro.simcontext.sim_context` enter/exit
   plus context-resolved ``get_registry`` lookups: the dispatch overhead the
@@ -22,8 +20,6 @@ versions:
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
 * ``trace_generate``    — vectorised workload-trace synthesis (sphinx3, 50k)
-* ``trace_generate_reference`` — the retained scalar trace generator on the
-  same profile/length, kept as the speedup baseline for ``trace_generate``
 
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
@@ -181,13 +177,12 @@ def _make_expansion_engine():
 
 
 def miss_expansion() -> int:
-    """Secure-engine metadata expansion (Synergy) — the production path.
+    """Secure-engine metadata expansion (Synergy).
 
-    The epoch-deferred fused expansion with a flush every 64 misses,
-    mirroring how ``SystemSimulator`` drives the engine (expansions
-    buffer per epoch, one ``enqueue_batch`` flush at resolve)."""
+    A flush every 64 misses, mirroring how ``SystemSimulator`` drives the
+    engine (expansions buffer per epoch, one ``enqueue_batch`` flush at
+    resolve)."""
     engine = _make_expansion_engine()
-    engine.begin_deferred()
     stream = _addresses(10_000, 1 << 22, seed=53)
     expand = engine.expand_read_miss_deferred
     flush = engine.flush_epoch
@@ -201,42 +196,6 @@ def miss_expansion() -> int:
             flush()
             pending = 0
     flush()
-    return len(stream)
-
-
-def miss_expansion_batch() -> int:
-    """Columnar batch expansion: numpy address pass + fused per-miss walk.
-
-    The ``secure.columnar.expand_read_misses`` driver over 1024-miss
-    batches — the upper bound the per-epoch path converges to as epochs
-    widen."""
-    from repro.secure.columnar import expand_read_misses
-
-    engine = _make_expansion_engine()
-    engine.begin_deferred()
-    stream = _addresses(10_000, 1 << 22, seed=53)
-    flush = engine.flush_epoch
-    when = 0
-    for start in range(0, len(stream), 1024):
-        chunk = stream[start : start + 1024]
-        expand_read_misses(
-            engine, chunk, whens=range(when, when + 10 * len(chunk), 10)
-        )
-        when += 10 * len(chunk)
-        flush()
-    return len(stream)
-
-
-def miss_expansion_reference() -> int:
-    """The retained scalar-oracle expansion on the same miss stream —
-    the baseline ``miss_expansion`` is measured against."""
-    engine = _make_expansion_engine()
-    stream = _addresses(10_000, 1 << 22, seed=53)
-    expand = engine.expand_read_miss
-    when = 0
-    for line in stream:
-        expand(line, when, 0)
-        when += 10
     return len(stream)
 
 
@@ -308,14 +267,11 @@ def pool_dispatch() -> int:
     return total
 
 
-#: Profile/length for the trace-generation pair. The two cases must stay in
-#: lock-step so ``trace_generate`` / ``trace_generate_reference`` is a
-#: meaningful speedup ratio. 50k records keeps the vectorised working set
-#: near cache-resident while exposing the scalar path's per-record
-#: allocation/GC burden at production trace lengths — the asymmetry the
-#: columnar rewrite removes. sphinx3 exercises all three locality arms
-#: (sequential runs, hot-set draws, page bursts), so both generators walk
-#: their full dispatch rather than one specialised branch.
+#: Profile/length for ``trace_generate``. 50k records keeps the vectorised
+#: working set near cache-resident at production trace lengths. sphinx3
+#: exercises all three locality arms (sequential runs, hot-set draws, page
+#: bursts), so the decoder walks its full dispatch rather than one
+#: specialised branch.
 _TRACE_BENCH_PROFILE = "sphinx3"
 _TRACE_BENCH_ACCESSES = 50_000
 
@@ -330,30 +286,16 @@ def trace_generate() -> int:
     return len(trace)
 
 
-def trace_generate_reference() -> int:
-    """Scalar trace synthesis — the baseline ``trace_generate`` is measured
-    against (same profile, length, and record stream)."""
-    from repro.workloads.generator import generate_trace_reference
-    from repro.workloads.profiles import profile_by_name
-
-    profile = profile_by_name(_TRACE_BENCH_PROFILE)
-    trace = generate_trace_reference(profile, _TRACE_BENCH_ACCESSES)
-    return len(trace)
-
-
 CASES: Dict[str, Callable[[], int]] = {
     "cache_access": cache_access,
     "controller_schedule": controller_schedule,
     "scheduler_choose_indexed": scheduler_choose_indexed,
     "rob_advance": rob_advance,
     "miss_expansion": miss_expansion,
-    "miss_expansion_batch": miss_expansion_batch,
-    "miss_expansion_reference": miss_expansion_reference,
     "telemetry_record": telemetry_record,
     "context_scope": context_scope,
     "pool_dispatch": pool_dispatch,
     "trace_generate": trace_generate,
-    "trace_generate_reference": trace_generate_reference,
 }
 
 

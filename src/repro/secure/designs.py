@@ -8,7 +8,8 @@ metadata moves and where it may be cached:
   zero extra traffic), or NONE (non-secure);
 * ``counters_in_llc`` — SGX_O and Synergy spill counters to the LLC;
   SGX and IVEC keep them only in the dedicated cache;
-* ``macs_in_llc`` — IVEC's MACs are tree members and LLC-cached;
+* ``macs_in_llc`` — IVEC's MACs are tree members and LLC-resident (the
+  copies displace data but never elide the per-access MAC fetch);
 * ``tree_kind`` — Bonsai counter tree vs IVEC's Merkle MAC tree vs none;
 * ``counter_mode`` — monolithic 56-bit (8 lines covered per counter line)
   vs split (64 lines covered; Fig. 13);
@@ -64,9 +65,9 @@ class SecureDesign:
     encrypted: bool
     mac_location: MacLocation
     counters_in_llc: bool
-    #: Table II "MAC caching": SGX/SGX_O cache MACs nowhere (every data
-    #: access pays a MAC memory access); IVEC caches them in the LLC.
-    macs_cached: bool
+    #: Table II "MAC caching" is "none" for every design: each data access
+    #: pays a MAC memory access. IVEC still stores its MACs in the LLC
+    #: (``macs_in_llc``), where the copies displace data.
     macs_in_llc: bool
     tree_kind: TreeKind
     counter_mode: CounterMode
@@ -106,7 +107,6 @@ NON_SECURE = SecureDesign(
     encrypted=False,
     mac_location=MacLocation.NONE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.NONE,
     counter_mode=CounterMode.MONOLITHIC,
@@ -118,7 +118,6 @@ SGX = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -130,7 +129,6 @@ SGX_O = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -142,7 +140,6 @@ SYNERGY = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -156,7 +153,6 @@ SYNERGY_DEDICATED = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -170,7 +166,6 @@ SGX_O_SPLIT = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.SPLIT,
@@ -182,7 +177,6 @@ SYNERGY_SPLIT = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.SPLIT,
@@ -199,15 +193,14 @@ SYNERGY_SPLIT = SecureDesign(
 #: *ineffective* at eliding fetches — the non-Bonsai tree keeps MACs
 #: untrusted until verified, so each access re-fetches its MAC while the
 #: cached copies still displace data (cf. Rogers et al. [14]). We model
-#: exactly that: ``macs_cached=False`` (fetch per access) with
-#: ``macs_in_llc=True`` (pollution), plus per-level Merkle update traffic
-#: and serial root-ward verification latency.
+#: exactly that: the MAC is fetched on every access, and ``macs_in_llc=True``
+#: puts its copy (and the MAC-tree nodes) in the LLC, plus per-level Merkle
+#: update traffic and serial root-ward verification latency.
 IVEC = SecureDesign(
     name="IVEC",
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=False,
-    macs_cached=False,
     macs_in_llc=True,
     tree_kind=TreeKind.MAC_TREE,
     counter_mode=CounterMode.SPLIT,
@@ -222,7 +215,6 @@ LOTECC = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -235,7 +227,6 @@ LOTECC_COALESCED = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -253,7 +244,6 @@ SYNERGY_CUSTOM = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -268,7 +258,6 @@ CHIPKILL_SECURE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -286,7 +275,6 @@ SGX_O_SPECULATIVE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.SEPARATE,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,
@@ -299,7 +287,6 @@ SYNERGY_SPECULATIVE = SecureDesign(
     encrypted=True,
     mac_location=MacLocation.ECC_CHIP,
     counters_in_llc=True,
-    macs_cached=False,
     macs_in_llc=False,
     tree_kind=TreeKind.BONSAI_COUNTER,
     counter_mode=CounterMode.MONOLITHIC,

@@ -3,20 +3,28 @@
 For every LLC data miss or writeback, the engine consults the design
 descriptor and the cache hierarchy and emits the memory requests the design
 would need: counter fetches with a tree walk, MAC fetches (or none, for
-Synergy), parity updates, plus writebacks of evicted dirty metadata. The
-read path returns the set of requests whose completion gates the data
-(verification needs data + counter chain + MAC).
+Synergy) with IVEC's MAC-tree walk, parity updates, plus writebacks of
+evicted dirty metadata. The read path returns the requests whose completion
+gates the data (verification needs data + counter chain + MAC).
 
 This is where the paper's central performance claim becomes mechanical:
 SGX_O pays a MAC access per data access; Synergy does not, because the MAC
 rides the ECC chip. Everything else (counter caching in LLC, tree walks,
 split counters, IVEC's MAC tree, LOT-ECC parity RMW) is configuration.
+
+Each path has one implementation, built once per engine as a closure over
+the design flags and the cache internals: the read-miss expansion, the
+writeback drain and the warm-up walk. They inline the dict probes of
+``CacheHierarchy.access_metadata`` and append request specs to an epoch
+batch that :meth:`SecureTimingEngine.flush_epoch` enqueues at the system's
+resolve boundary. The scalar walk they are checked against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from collections import deque
+from typing import List, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cache.hierarchy import CacheHierarchy
@@ -29,7 +37,7 @@ from repro.secure.designs import (
     TreeKind,
 )
 from repro.telemetry import get_registry
-from repro.util.stats import StatGroup
+from repro.util.stats import Counter, StatGroup
 
 #: Tree-walk depth histogram edges: one bucket per level (0 = anchored at
 #: the first node above the leaf), deep enough for any arity-8 tree here.
@@ -70,7 +78,6 @@ class TimingMetadataMap:
         "tree_level_bases",
         "tree_level_sizes",
         "total_lines",
-        "_tree_path_cache",
     )
 
     def __init__(self, num_data_lines: int, counter_mode: CounterMode):
@@ -107,9 +114,6 @@ class TimingMetadataMap:
                 break
             size = -(-size // TREE_ARITY)
         self.total_lines = cursor
-        #: Memoised leaf-index -> root path (paths repeat heavily: adjacent
-        #: metadata lines share all but the lowest tree levels).
-        self._tree_path_cache: dict = {}
 
     def counter_line(self, data_line: int) -> int:
         """Counter line covering a data line."""
@@ -125,43 +129,50 @@ class TimingMetadataMap:
 
     def tree_path_from_counter(self, counter_line: int) -> List[int]:
         """Tree line addresses from just above a counter line to the root."""
-        index = counter_line - self.counter_base
-        return self._tree_path(index)
+        return self._tree_path(counter_line - self.counter_base)
 
     def tree_path_from_mac(self, mac_line: int) -> List[int]:
         """MAC-tree line addresses from just above a MAC line to the root."""
-        index = mac_line - self.mac_base
-        return self._tree_path(index)
+        return self._tree_path(mac_line - self.mac_base)
 
     def _tree_path(self, leaf_index: int) -> List[int]:
-        path = self._tree_path_cache.get(leaf_index)
-        if path is not None:
-            return path
         path = []
         index = leaf_index
-        for base, size in zip(self.tree_level_bases, self.tree_level_sizes):
+        for base, cap in self.tree_levels():
             index //= TREE_ARITY
-            path.append(base + min(index, size - 1))
-        self._tree_path_cache[leaf_index] = path
+            path.append(base + min(index, cap))
         return path
 
+    def tree_levels(self) -> Tuple[Tuple[int, int], ...]:
+        """Tree geometry as ``(base, last index)`` pairs, leaf side first.
 
-@dataclass
-class ExpandedAccess:
-    """Requests generated for one data access.
-
-    ``blocking`` requests gate the read's completion (data + verification
-    metadata); ``posted`` requests only consume bandwidth. Invariant:
-    ``blocking[0]`` is always the data line itself — speculative designs
-    (§VII-B) complete on it alone.
-    """
-
-    blocking: List[Request] = field(default_factory=list)
-    posted: List[Request] = field(default_factory=list)
+        The engine's walks compute each level's address as they descend
+        (``base + min(index, last)`` after one more ``//= TREE_ARITY``)
+        instead of materialising the whole path: break-on-hit makes most
+        of a full path wasted work.
+        """
+        return tuple(
+            (base, size - 1)
+            for base, size in zip(self.tree_level_bases, self.tree_level_sizes)
+        )
 
 
 class SecureTimingEngine:
-    """Expands data accesses into design-specific memory traffic."""
+    """Expands data accesses into design-specific memory traffic.
+
+    Emission is epoch-deferred: every path appends request specs to one
+    batch, and :meth:`flush_epoch` enqueues it in a single
+    ``enqueue_batch`` call. The engine is the only request producer and
+    the batch keeps emission order, so request content, arbitration order
+    and sequence numbers equal those of serial enqueues; gating requests
+    are returned as batch indices because their completions are only read
+    after the controller's next ``process``.
+
+    Besides :meth:`expand_read_miss_deferred`, two built paths are public
+    attributes: ``writeback(victim, when, core)`` drains one dirty
+    eviction of any region, and ``warm_metadata(data_line, is_write)``
+    replays an LLC data miss's metadata walk during warm-up.
+    """
 
     __slots__ = (
         "design",
@@ -169,30 +180,21 @@ class SecureTimingEngine:
         "controller",
         "map",
         "stats",
+        "writeback",
+        "warm_metadata",
+        "_expand",
         "_t_tree_walk_depth",
         "_t_mac_tree_walk_depth",
         "_t_metadata_accesses",
         "_t_counter_hits",
-        "_t_mac_hits",
         "_c_counter_hits",
-        "_c_mac_hits",
         "_n_metadata_accesses",
         "_n_counter_hits",
-        "_n_mac_hits",
         "_synced_telemetry",
         "_tree_depth_acc",
         "_mac_tree_depth_acc",
         "_account_counters",
-        "_writeback_queue",
-        "_draining_writebacks",
-        "_in_writeback_path",
         "_batch",
-        "_batch_blocking",
-        "_batching",
-        "_deferred",
-        "_fast_expand",
-        "_fast_warm",
-        "_fast_writeback",
         "_sanitizer",
         "_san_epoch_checked",
     )
@@ -218,254 +220,72 @@ class SecureTimingEngine:
         )
         self._t_metadata_accesses = registry.counter("secure.metadata_accesses")
         self._t_counter_hits = registry.counter("secure.counter_hits")
-        self._t_mac_hits = registry.counter("secure.mac_hits")
+        # No design caches its MACs (Table II: IVEC's LLC copies never
+        # elide a fetch), so this stays zero; it is registered so every
+        # cell's telemetry snapshot keeps the same metric set.
+        registry.counter("secure.mac_hits")
         self._c_counter_hits = self.stats.counter("counter_hits")
-        self._c_mac_hits = self.stats.counter("mac_hits")
         # Deferred telemetry (see sync_telemetry): the per-access paths
         # bump plain ints / tally dicts; the registry objects are only
         # touched at snapshot time.
         self._n_metadata_accesses = 0
         self._n_counter_hits = 0
-        self._n_mac_hits = 0
-        self._synced_telemetry = [0, 0, 0]
+        self._synced_telemetry = [0, 0]
         self._tree_depth_acc: dict = {}
         self._mac_tree_depth_acc: dict = {}
-        #: (origin, category, kind) -> bound accounting counter; built
+        #: (writeback?, category, kind) -> bound accounting counter; built
         #: lazily so the per-request path never string-formats.
         self._account_counters: dict = {}
-        from collections import deque
-
-        self._writeback_queue = deque()
-        self._draining_writebacks = False
-        self._in_writeback_path = False
-        # Emission batch: while an expansion is in flight, emitted request
-        # specs buffer here and flush through ``enqueue_batch`` in one call
-        # (same order, same sequence numbers as one-by-one enqueues).
-        # ``_batch_blocking`` holds the batch indices that gate the read.
+        #: The epoch batch of ``(kind, line, when, category, core)`` specs.
         self._batch: List = []
-        self._batch_blocking: List[int] = []
-        self._batching = False
-        # Epoch-deferred mode (see begin_deferred): the batch persists
-        # across expansions and flushes once per resolve epoch.
-        self._deferred = False
-        self._fast_expand = None
-        self._fast_warm = None
-        self._fast_writeback = None
         self._sanitizer = get_sanitizer()
         # True means "no spot-check pending" — primed per epoch only when
         # a sanitizer is attached, so the hot path pays one bool test.
         self._san_epoch_checked = self._sanitizer is None
+        # Order matters: the expansion binds the writeback drain for its
+        # spill victims.
+        self.writeback = self._build_writeback()
+        self._expand = self._build_expand()
+        self.warm_metadata = self._build_warm()
 
     # ------------------------------------------------------------------
 
-    def _classify_writeback(self, line_address: int) -> str:
-        """Traffic category of an evicted line by its region."""
-        map_ = self.map
-        if line_address < map_.counter_base:
-            return "data"
-        if line_address < map_.mac_base:
-            return "counter"
-        if line_address < map_.parity_base:
-            return "mac"
-        if line_address < map_.tree_level_bases[0]:
-            return "parity"
-        return "counter"  # tree lines group with counters (Fig. 9)
+    def _counter(self, writeback: bool, category: str, kind: RequestKind) -> Counter:
+        """The accounting counter ``<origin>_<category>_<kind>``.
 
-    @property
-    def _origin(self) -> str:
-        """Whether traffic being emitted serves a demand read or a writeback.
-
-        The paper's Fig. 9 splits traffic by what *triggered* it (the reads
-        chart vs the writes chart), not by the physical direction — e.g. the
+        Paper Fig. 9 splits traffic by what *triggered* it (the reads
+        chart vs the writes chart), not by its physical direction — the
         read half of a counter RMW on the write path belongs to the writes
-        chart. The engine tracks the trigger here.
+        chart — so ``writeback`` names the trigger. Counters bind on first
+        use, which fixes the stat group's order.
         """
-        return "writeback" if self._in_writeback_path else "demand"
-
-    def _account(self, category: str, kind: RequestKind) -> None:
-        key = (self._in_writeback_path, category, kind)
+        key = (writeback, category, kind)
         counter = self._account_counters.get(key)
         if counter is None:
-            counter = self.stats.counter(
-                "%s_%s_%s" % (self._origin, category, kind.value)
+            counter = self._account_counters[key] = self.stats.counter(
+                "%s_%s_%s"
+                % ("writeback" if writeback else "demand", category, kind.value)
             )
-            self._account_counters[key] = counter
-        # Unit increment: bump the slot directly (skips Counter.add's
-        # sign check on the per-request path).
-        counter.value += 1
-        if category != "data":
-            self._n_metadata_accesses += 1
-
-    def _emit_read(
-        self, out: ExpandedAccess, line: int, when: int, category: str, core: int
-    ) -> None:
-        self._account(category, _READ)
-        if self._batching:
-            self._batch_blocking.append(len(self._batch))
-            self._batch.append((_READ, line, when, category, core))
-        else:
-            out.blocking.append(
-                self.controller.enqueue(_READ, line, when, category, core)
-            )
-
-    def _emit_rmw_read(self, line: int, when: int, category: str, core: int) -> None:
-        """A posted read (RMW fetch) that gates nothing."""
-        self._account(category, _READ)
-        if self._batching:
-            self._batch.append((_READ, line, when, category, core))
-        else:
-            self.controller.enqueue(_READ, line, when, category, core)
-
-    def _emit_write(self, line: int, when: int, category: str, core: int) -> None:
-        self._account(category, _WRITE)
-        if self._batching:
-            self._batch.append((_WRITE, line, when, category, core))
-        else:
-            self.controller.enqueue(_WRITE, line, when, category, core)
-
-    def _flush_batch(self, out: Optional[ExpandedAccess]) -> None:
-        """Enqueue the buffered specs in emission order; route the gating
-        requests into ``out.blocking`` by their recorded batch indices."""
-        self._batching = False
-        batch = self._batch
-        if not batch:
-            del self._batch_blocking[:]
-            return
-        requests = self.controller.enqueue_batch(batch)
-        if out is not None:
-            blocking = out.blocking
-            for index in self._batch_blocking:
-                blocking.append(requests[index])
-        del batch[:]
-        del self._batch_blocking[:]
-
-    def writeback(self, victim: Optional[int], when: int, core: int) -> None:
-        """Handle an evicted dirty line of *any* region.
-
-        Metadata victims are plain memory writes; data victims need the full
-        write-side metadata expansion (counter bump, MAC/parity update).
-        Eviction chains (a data writeback dirties a counter line whose fill
-        evicts another data line, ...) are drained iteratively.
-        """
-        if victim is None:
-            return
-        self._writeback_queue.append(victim)
-        if self._draining_writebacks:
-            return
-        self._draining_writebacks = True
-        top = not self._batching
-        if top:
-            self._batching = True
-        try:
-            while self._writeback_queue:
-                line = self._writeback_queue.popleft()
-                if line < self.map.counter_base:
-                    self.expand_data_writeback(line, when, core)
-                else:
-                    self._emit_write(
-                        line, when, self._classify_writeback(line), core
-                    )
-        finally:
-            self._draining_writebacks = False
-            if top:
-                self._flush_batch(None)
-
-    # Backwards-compatible internal alias used by the fetch/update paths.
-    def _handle_writeback(self, victim: Optional[int], when: int, core: int) -> None:
-        self.writeback(victim, when, core)
-
-    # ------------------------------------------------------------------
-    # Epoch-deferred emission mode (the columnar timing plane)
-    # ------------------------------------------------------------------
-
-    @property
-    def deferred(self) -> bool:
-        """Whether the engine is in epoch-deferred emission mode."""
-        return self._deferred
-
-    @property
-    def fast_expand(self):
-        """The fused per-miss expansion, or None outside the fast-path
-        boundary (MAC-tree designs, cached MACs — the scalar oracle)."""
-        return self._fast_expand
-
-    @property
-    def fast_warm(self):
-        """The fused warm-metadata walk, or None outside the fast-path
-        boundary (same boundary as :attr:`fast_expand`)."""
-        return self._fast_warm
-
-    @property
-    def fast_writeback(self):
-        """The fused writeback drain, or None outside the fast-path
-        boundary (same boundary as :attr:`fast_expand`)."""
-        return self._fast_writeback
-
-    def begin_deferred(self) -> None:
-        """Enter epoch-deferred emission mode.
-
-        Emissions stop flushing per expansion and instead buffer into one
-        per-epoch spec batch that :meth:`flush_epoch` enqueues in a single
-        ``enqueue_batch`` call at the resolve boundary. The engine is the
-        only request producer and the batch preserves emission order, so
-        request content, arbitration order and sequence numbers are
-        identical to the scalar engine's immediate enqueues — blocking
-        requests are returned as batch indices because their completions
-        are only read after the controller's next ``process``.
-        """
-        self._deferred = True
-        self._batching = True
-        if self._fast_expand is None and (
-            self.design.tree_kind is not TreeKind.MAC_TREE
-            and not self.design.macs_cached
-        ):
-            # Order matters: the expansion closure binds the fused
-            # writeback drain for its spill victims.
-            self._fast_writeback = self._build_fast_writeback()
-            self._fast_expand = self._build_fast_expand()
-            self._fast_warm = self._build_fast_warm()
+        return counter
 
     def expand_read_miss_deferred(
         self, data_line: int, when: int, core: int
     ) -> List[int]:
-        """Deferred-mode read-miss expansion; returns epoch-batch indices.
+        """Expand one LLC read miss; returns its gating epoch-batch indices.
 
         The indices resolve against the request list returned by the next
-        :meth:`flush_epoch`; index 0 is always the data line itself (the
-        ``ExpandedAccess.blocking[0]`` invariant, preserved for
-        speculative designs).
+        :meth:`flush_epoch`. Index 0 is always the data read itself —
+        speculative designs (§VII-B) complete on it alone.
         """
         if self._san_epoch_checked:
-            fast = self._fast_expand
-            if fast is not None:
-                return fast(data_line, when, core, -1, -1)
-            return self._expand_deferred_generic(data_line, when, core)
+            return self._expand(data_line, when, core)
         # Sampled sanitizer spot-check: first expansion of each epoch.
         self._san_epoch_checked = True
         base = len(self._batch)
-        fast = self._fast_expand
-        if fast is not None:
-            blocking = fast(data_line, when, core, -1, -1)
-        else:
-            blocking = self._expand_deferred_generic(data_line, when, core)
+        blocking = self._expand(data_line, when, core)
         self._sanitizer.check_expansion_batch(
             self, data_line, when, core, base, blocking
         )
-        return blocking
-
-    def _expand_deferred_generic(
-        self, data_line: int, when: int, core: int
-    ) -> List[int]:
-        """Scalar-oracle fallback inside deferred mode.
-
-        Runs the verbatim scalar expansion; because ``_batching`` stays
-        set, its emissions buffer into the epoch batch and the per-call
-        flush is skipped. ``_emit_read`` recorded the absolute batch
-        indices of the gating requests.
-        """
-        self.expand_read_miss(data_line, when, core)
-        blocking = list(self._batch_blocking)
-        del self._batch_blocking[:]
         return blocking
 
     def flush_epoch(self) -> List[Request]:
@@ -473,7 +293,7 @@ class SecureTimingEngine:
 
         Called by the system simulator at each resolve boundary, before
         ``controller.process``. Sequence numbers are assigned in batch
-        order — identical to the scalar engine's serial enqueues.
+        order — identical to serial enqueues in emission order.
         """
         batch = self._batch
         if not batch:
@@ -490,23 +310,45 @@ class SecureTimingEngine:
         del batch[:]
         return requests
 
-    def _build_fast_expand(self):
-        """Build the fused read-miss expansion closure.
+    def sync_telemetry(self) -> None:
+        """Publish the deferred telemetry into the registry objects.
 
-        One closure call replaces the scalar path's ~10 frames per miss:
-        the dedicated/LLC dict probes of ``CacheHierarchy.access_metadata``
-        and ``SetAssociativeCache.access`` are inlined (including the
-        pinned ``llc_result.writeback_address or spill_writeback`` quirk),
-        accounting counters bind lazily through the same
-        ``_account_counters`` table as the scalar path, and emissions
-        append straight to the epoch batch. Writeback chains — the
-        "interesting minority" — still route through the scalar
-        ``writeback`` drain at exactly the point the scalar path would.
+        Counters publish the delta since the last sync (watermarked, so
+        instances sharing a registry counter each contribute their own
+        events); histogram tallies flush weight-batched — all integer
+        observations, so batching is bit-exact. ``SystemSimulator.run``
+        calls this before the snapshot.
+        """
+        synced = self._synced_telemetry
+        self._t_metadata_accesses.inc(self._n_metadata_accesses - synced[0])
+        self._t_counter_hits.inc(self._n_counter_hits - synced[1])
+        synced[0] = self._n_metadata_accesses
+        synced[1] = self._n_counter_hits
+        for acc, histogram in (
+            (self._tree_depth_acc, self._t_tree_walk_depth),
+            (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
+        ):
+            for value, weight in acc.items():
+                histogram.record(value, weight)
+            acc.clear()
 
-        Only built for designs whose read walk is data + Bonsai counter
-        chain + optional uncached MAC; MAC-tree/cached-MAC designs keep
-        the scalar oracle. Callers may pass precomputed ``counter_line``/
-        ``mac_line`` (from the columnar numpy pass); -1 means compute.
+    # ------------------------------------------------------------------
+    # The built paths
+    # ------------------------------------------------------------------
+
+    def _build_expand(self):
+        """Build the read-miss expansion.
+
+        Emits the data read; on encrypted designs the counter probe, then
+        on a miss the counter read and (Bonsai) the break-on-hit counter
+        tree walk to the first cached level; on separate-MAC designs the
+        MAC read (MACs are never cached, Table II), IVEC's LLC copy of it,
+        and IVEC's break-on-hit MAC-tree walk. Every uncached level is a
+        gating read. The dedicated/LLC dict probes of
+        ``CacheHierarchy.access_metadata`` and ``SetAssociativeCache.access``
+        are inlined, including the pinned
+        ``llc_result.writeback_address or spill_writeback`` quirk, and
+        victims drain through :attr:`writeback` where they arise.
         """
         design = self.design
         map_ = self.map
@@ -526,37 +368,23 @@ class SecureTimingEngine:
         counter_coverage = map_.counter_coverage
         mac_base = map_.mac_base
         encrypted = design.encrypted
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
         counters_in_llc = design.counters_in_llc
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
-        # Tree geometry as (base, clamp) pairs: the walk computes each
-        # level's address as it descends instead of materialising the full
-        # memoised path — break-on-hit means most of a full path is wasted
-        # work, and at large footprints the memo never hits anyway.
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        tree_levels = map_.tree_levels()
         arity = TREE_ARITY
         batch = self._batch
         batch_append = batch.append
-        handle_writeback = self._fast_writeback or self.writeback
+        handle_writeback = self.writeback
         counter_hits = self._c_counter_hits
-        stats_counter = self.stats.counter
-        account = self._account_counters
+        tree_depths = self._tree_depth_acc
+        mac_tree_depths = self._mac_tree_depth_acc
+        bind = self._counter
         absent = ABSENT
         read = _READ
         c_data = c_counter = c_mac = None
-
-        def bind(category: str):
-            # Lazy bind through the scalar path's table so a fused run
-            # creates exactly the counters a scalar run would.
-            key = (False, category, read)
-            counter = account.get(key)
-            if counter is None:
-                counter = stats_counter("demand_%s_read" % category)
-                account[key] = counter
-            return counter
 
         def miss_probe(line, ways, tag, use_llc):
             # Continuation after the dedicated probe popped ABSENT:
@@ -602,110 +430,113 @@ class SecureTimingEngine:
             # exactly as access_metadata computes its writeback.
             return False, llc_wb or spill
 
-        def expand_fast(data_line, when, core, counter_line, mac_line):
-            nonlocal c_data, c_counter, c_mac
-            if c_data is None:
-                c_data = bind("data")
-            c_data.value += 1
-            blocking = [len(batch)]
-            batch_append((read, data_line, when, "data", core))
-            if encrypted:
-                if counter_line < 0:
-                    counter_line = counter_base + data_line // counter_coverage
-                ways = md_sets[counter_line & md_mask]
-                tag = counter_line >> md_shift
+        def walk(index, use_llc, counter, category, when, core, blocking):
+            # Break-on-hit walk from a leaf toward the cached trust
+            # anchor: one gating read per uncached level. Returns the
+            # number of levels fetched.
+            depth = 0
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                line = level_base + (index if index < level_cap else level_cap)
+                ways = md_sets[line & md_mask]
+                tag = line >> md_shift
                 prev = ways.pop(tag, absent)
                 if prev is not absent:
                     md.hits += 1
                     ways[tag] = prev
+                    break
+                hit, wb = miss_probe(line, ways, tag, use_llc)
+                if wb is not None:
+                    handle_writeback(wb, when, core)
+                if hit:
+                    break
+                counter.value += 1
+                blocking.append(len(batch))
+                batch_append((read, line, when, category, core))
+                depth += 1
+            return depth
+
+        def expand(data_line, when, core):
+            nonlocal c_data, c_counter, c_mac
+            if c_data is None:
+                c_data = bind(False, "data", read)
+            c_data.value += 1
+            blocking = [len(batch)]
+            batch_append((read, data_line, when, "data", core))
+            if not encrypted:
+                return blocking
+            counter_line = counter_base + data_line // counter_coverage
+            ways = md_sets[counter_line & md_mask]
+            tag = counter_line >> md_shift
+            prev = ways.pop(tag, absent)
+            if prev is not absent:
+                md.hits += 1
+                ways[tag] = prev
+                counter_hits.value += 1
+                self._n_counter_hits += 1
+            else:
+                hit, wb = miss_probe(counter_line, ways, tag, counters_in_llc)
+                if wb is not None:
+                    handle_writeback(wb, when, core)
+                if hit:
                     counter_hits.value += 1
                     self._n_counter_hits += 1
                 else:
-                    hit, wb = miss_probe(
-                        counter_line, ways, tag, counters_in_llc
-                    )
+                    if c_counter is None:
+                        c_counter = bind(False, "counter", read)
+                    c_counter.value += 1
+                    blocking.append(len(batch))
+                    batch_append((read, counter_line, when, "counter", core))
+                    fetched = 1
+                    if bonsai:
+                        depth = walk(
+                            counter_line - counter_base, counters_in_llc,
+                            c_counter, "counter", when, core, blocking,
+                        )
+                        fetched += depth
+                        tree_depths[depth] = tree_depths.get(depth, 0) + 1
+                    self._n_metadata_accesses += fetched
+            if separate_mac:
+                mac_line = mac_base + data_line // MAC_COVERAGE
+                if c_mac is None:
+                    c_mac = bind(False, "mac", read)
+                c_mac.value += 1
+                blocking.append(len(batch))
+                batch_append((read, mac_line, when, "mac", core))
+                fetched = 1
+                if macs_in_llc:
+                    wb = llc_fill(mac_line)
                     if wb is not None:
                         handle_writeback(wb, when, core)
-                    if hit:
-                        counter_hits.value += 1
-                        self._n_counter_hits += 1
-                    else:
-                        if c_counter is None:
-                            c_counter = bind("counter")
-                        c_counter.value += 1
-                        self._n_metadata_accesses += 1
-                        blocking.append(len(batch))
-                        batch_append((read, counter_line, when, "counter", core))
-                        # Bonsai walk to the cached trust anchor (every
-                        # encrypted fast-path design is Bonsai). Same
-                        # per-level arithmetic as _tree_path, one level
-                        # at a time.
-                        depth = 0
-                        index = counter_line - counter_base
-                        for level_base, level_cap in tree_levels:
-                            index //= arity
-                            tree_line = level_base + (
-                                index if index < level_cap else level_cap
-                            )
-                            tree_ways = md_sets[tree_line & md_mask]
-                            tree_tag = tree_line >> md_shift
-                            tree_prev = tree_ways.pop(tree_tag, absent)
-                            if tree_prev is not absent:
-                                md.hits += 1
-                                tree_ways[tree_tag] = tree_prev
-                                break
-                            hit, wb = miss_probe(
-                                tree_line, tree_ways, tree_tag, counters_in_llc
-                            )
-                            if wb is not None:
-                                handle_writeback(wb, when, core)
-                            if hit:
-                                break
-                            c_counter.value += 1
-                            self._n_metadata_accesses += 1
-                            blocking.append(len(batch))
-                            batch_append(
-                                (read, tree_line, when, "counter", core)
-                            )
-                            depth += 1
-                        acc = self._tree_depth_acc
-                        try:
-                            acc[depth] += 1
-                        except KeyError:
-                            acc[depth] = 1
-                if separate_mac:
-                    if mac_line < 0:
-                        mac_line = mac_base + data_line // MAC_COVERAGE
-                    if c_mac is None:
-                        c_mac = bind("mac")
-                    c_mac.value += 1
-                    self._n_metadata_accesses += 1
-                    blocking.append(len(batch))
-                    batch_append((read, mac_line, when, "mac", core))
-                    if macs_in_llc:
-                        wb = llc_fill(mac_line)
-                        if wb is not None:
-                            handle_writeback(wb, when, core)
+                if mac_tree:
+                    depth = walk(
+                        mac_line - mac_base, macs_in_llc,
+                        c_mac, "mac", when, core, blocking,
+                    )
+                    fetched += depth
+                    mac_tree_depths[depth] = mac_tree_depths.get(depth, 0) + 1
+                self._n_metadata_accesses += fetched
             return blocking
 
-        return expand_fast
+        return expand
 
-    def _build_fast_writeback(self):
-        """Build the fused writeback drain (fast-path designs only).
+    def _build_writeback(self):
+        """Build the writeback drain.
 
-        Replays :meth:`writeback`'s iterative chain drain with the
-        write-side metadata walk inlined: the data write, the counter-line
-        RMW probe, the full-path Bonsai dirty walk (every level updates —
-        no break-on-hit on the write side), the uncached-MAC write and the
-        parity write, all appending straight to the epoch batch. Cache
-        probes perform exactly ``access_metadata(..., is_write=True)``'s
-        transitions and stat bumps, including the pinned
-        ``llc_wb or spill`` writeback quirk; chained victims re-enter the
-        same FIFO queue the scalar drain uses. Accounting counters bind
-        lazily through ``_account_counters`` at the same first-use points
-        as the scalar path, so stat-group ordering is preserved. Only
-        valid in deferred mode, where ``_batching`` is permanently set and
-        the scalar drain's trailing flush is a no-op.
+        Victims queue in FIFO order and drain iteratively: a data
+        writeback dirties a counter line whose fill evicts another line,
+        and so on. Metadata victims are plain memory writes, classified by
+        region and accounted as demand-origin traffic (pinned behaviour:
+        the drain runs outside a data victim's writeback accounting).
+        Data victims get the write-side walk: the data write; the counter
+        RMW probe and, on Bonsai designs, every counter-tree level up to
+        the root (an update dirties each level, so no break-on-hit); the
+        uncached MAC write, IVEC's LLC copy of it and every MAC-tree level
+        up to the root (a Merkle update re-hashes the whole path,
+        §VII-A1); and the Synergy parity write or LOT-ECC parity RMW.
+        Each uncached level is an RMW read. Probes perform exactly
+        ``access_metadata(..., is_write=True)``'s transitions and stat
+        bumps, including the pinned ``llc_wb or spill`` quirk.
         """
         design = self.design
         map_ = self.map
@@ -727,50 +558,34 @@ class SecureTimingEngine:
         parity_base = map_.parity_base
         tree_base = map_.tree_level_bases[0]
         encrypted = design.encrypted
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
         counters_in_llc = design.counters_in_llc
         separate_mac = design.mac_location is MacLocation.SEPARATE
         macs_in_llc = design.macs_in_llc
         parity_on_write = design.parity_write_on_data_write
         lotecc_rmw = design.lotecc_parity_rmw
         lotecc_coalesced = design.lotecc_write_coalescing
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        tree_levels = map_.tree_levels()
         arity = TREE_ARITY
-        batch = self._batch
-        batch_append = batch.append
-        queue = self._writeback_queue
+        batch_append = self._batch.append
+        queue = deque()
         queue_append = queue.append
         queue_popleft = queue.popleft
-        stats_counter = self.stats.counter
-        account = self._account_counters
+        bind = self._counter
         absent = ABSENT
         read = _READ
         write = _WRITE
-        engine = self
-
-        def bind(origin_flag, category, kind):
-            # Same lazy creation as _account: names and stat-group order
-            # match the scalar path's first-use points exactly.
-            key = (origin_flag, category, kind)
-            counter = account.get(key)
-            if counter is None:
-                counter = stats_counter(
-                    "%s_%s_%s"
-                    % (
-                        "writeback" if origin_flag else "demand",
-                        category,
-                        kind.value,
-                    )
-                )
-                account[key] = counter
-            return counter
-
-        # Lazily-bound accounting counters (write-path first-use order).
+        # Accounting counters by short key, bound on first use.
         cells = {}
 
-        def md_probe_write(line):
+        def tally(key, writeback, category, kind):
+            counter = cells.get(key)
+            if counter is None:
+                counter = cells[key] = bind(writeback, category, kind)
+            counter.value += 1
+
+        def probe_write(line, use_llc):
             # access_metadata(line, is_write=True, use_llc) with the dict
             # probes inlined; returns (hit, writeback address or None).
             ways = md_sets[line & md_mask]
@@ -790,7 +605,7 @@ class SecureTimingEngine:
                     md.dirty_evictions += 1
                     dedicated_wb = (victim_tag << md_shift) | (line & md_mask)
             ways[tag] = True
-            if not counters_in_llc:
+            if not use_llc:
                 return False, dedicated_wb
             llc_ways = llc_sets[line & llc_mask]
             llc_tag = line >> llc_shift
@@ -818,176 +633,104 @@ class SecureTimingEngine:
             # Pinned quirk (see access_metadata): `or`, not `is None`.
             return False, llc_wb or spill
 
-        def writeback_fast(victim, when, core):
+        def dirty_path(index, use_llc, key, category, when, core):
+            # Dirty every level from a leaf to the root; returns the RMW
+            # reads issued for the uncached ones.
+            fetched = 0
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                line = level_base + (index if index < level_cap else level_cap)
+                hit, wb = probe_write(line, use_llc)
+                if wb is not None:
+                    queue_append(wb)
+                if not hit:
+                    tally(key, True, category, read)
+                    fetched += 1
+                    batch_append((read, line, when, category, core))
+            return fetched
+
+        def writeback(victim, when, core):
             if victim is None:
                 return
             queue_append(victim)
-            if engine._draining_writebacks:
-                return
-            engine._draining_writebacks = True
             n_meta = 0
-            try:
-                while queue:
-                    line = queue_popleft()
-                    if line < counter_base:
-                        # Data-region victim: full write-side expansion,
-                        # accounted as writeback-origin traffic.
-                        engine._in_writeback_path = True
-                        try:
-                            counter = cells.get("wd")
-                            if counter is None:
-                                counter = cells["wd"] = bind(
-                                    True, "data", write
-                                )
-                            counter.value += 1
-                            batch_append((write, line, when, "data", core))
-                            if encrypted:
-                                counter_line = (
-                                    counter_base + line // counter_coverage
-                                )
-                                hit, wb = md_probe_write(counter_line)
-                                if wb is not None:
-                                    queue_append(wb)
-                                if not hit:
-                                    counter = cells.get("wcr")
-                                    if counter is None:
-                                        counter = cells["wcr"] = bind(
-                                            True, "counter", read
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (read, counter_line, when,
-                                         "counter", core)
-                                    )
-                                # Dirty every tree level to the root (the
-                                # write side has no break-on-hit).
-                                index = counter_line - counter_base
-                                for level_base, level_cap in tree_levels:
-                                    index //= arity
-                                    tree_line = level_base + (
-                                        index
-                                        if index < level_cap
-                                        else level_cap
-                                    )
-                                    hit, wb = md_probe_write(tree_line)
-                                    if wb is not None:
-                                        queue_append(wb)
-                                    if not hit:
-                                        counter = cells.get("wcr")
-                                        if counter is None:
-                                            counter = cells["wcr"] = bind(
-                                                True, "counter", read
-                                            )
-                                        counter.value += 1
-                                        n_meta += 1
-                                        batch_append(
-                                            (read, tree_line, when,
-                                             "counter", core)
-                                        )
-                                if separate_mac:
-                                    mac_line = (
-                                        mac_base + line // MAC_COVERAGE
-                                    )
-                                    counter = cells.get("wmw")
-                                    if counter is None:
-                                        counter = cells["wmw"] = bind(
-                                            True, "mac", write
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (write, mac_line, when, "mac", core)
-                                    )
-                                    if macs_in_llc:
-                                        wb = llc_fill(mac_line)
-                                        if wb is not None:
-                                            queue_append(wb)
-                            if parity_on_write:
-                                parity_line = (
-                                    parity_base + line // PARITY_COVERAGE
-                                )
-                                counter = cells.get("wpw")
-                                if counter is None:
-                                    counter = cells["wpw"] = bind(
-                                        True, "parity", write
-                                    )
-                                counter.value += 1
-                                n_meta += 1
-                                batch_append(
-                                    (write, parity_line, when,
-                                     "parity", core)
-                                )
-                            if lotecc_rmw:
-                                parity_line = (
-                                    parity_base + line // PARITY_COVERAGE
-                                )
-                                if not lotecc_coalesced:
-                                    counter = cells.get("wpr")
-                                    if counter is None:
-                                        counter = cells["wpr"] = bind(
-                                            True, "parity", read
-                                        )
-                                    counter.value += 1
-                                    n_meta += 1
-                                    batch_append(
-                                        (read, parity_line, when,
-                                         "parity", core)
-                                    )
-                                counter = cells.get("wpw")
-                                if counter is None:
-                                    counter = cells["wpw"] = bind(
-                                        True, "parity", write
-                                    )
-                                counter.value += 1
-                                n_meta += 1
-                                batch_append(
-                                    (write, parity_line, when,
-                                     "parity", core)
-                                )
-                        finally:
-                            engine._in_writeback_path = False
-                    else:
-                        # Metadata victim: classify by region, plain
-                        # memory write, demand-origin accounting (the
-                        # drain loop runs outside _in_writeback_path —
-                        # the scalar path's pinned behaviour).
-                        if line < mac_base:
-                            category = "counter"
-                            cell_key = "dcw"
-                        elif line < parity_base:
-                            category = "mac"
-                            cell_key = "dmw"
-                        elif line < tree_base:
-                            category = "parity"
-                            cell_key = "dpw"
-                        else:
-                            category = "counter"
-                            cell_key = "dcw"
-                        counter = cells.get(cell_key)
-                        if counter is None:
-                            counter = cells[cell_key] = bind(
-                                False, category, write
-                            )
-                        counter.value += 1
+            while queue:
+                line = queue_popleft()
+                if line >= counter_base:
+                    if line < mac_base:
+                        key, category = "dcw", "counter"
+                    elif line < parity_base:
+                        key, category = "dmw", "mac"
+                    elif line < tree_base:
+                        key, category = "dpw", "parity"
+                    else:  # tree lines group with counters (Fig. 9)
+                        key, category = "dcw", "counter"
+                    tally(key, False, category, write)
+                    n_meta += 1
+                    batch_append((write, line, when, category, core))
+                    continue
+                tally("wd", True, "data", write)
+                batch_append((write, line, when, "data", core))
+                if encrypted:
+                    counter_line = counter_base + line // counter_coverage
+                    hit, wb = probe_write(counter_line, counters_in_llc)
+                    if wb is not None:
+                        queue_append(wb)
+                    if not hit:
+                        tally("wcr", True, "counter", read)
                         n_meta += 1
-                        batch_append((write, line, when, category, core))
-            finally:
-                engine._draining_writebacks = False
-                if n_meta:
-                    engine._n_metadata_accesses += n_meta
+                        batch_append((read, counter_line, when, "counter", core))
+                    if bonsai:
+                        n_meta += dirty_path(
+                            counter_line - counter_base, counters_in_llc,
+                            "wcr", "counter", when, core,
+                        )
+                    if separate_mac:
+                        mac_line = mac_base + line // MAC_COVERAGE
+                        tally("wmw", True, "mac", write)
+                        n_meta += 1
+                        batch_append((write, mac_line, when, "mac", core))
+                        if macs_in_llc:
+                            wb = llc_fill(mac_line)
+                            if wb is not None:
+                                queue_append(wb)
+                        if mac_tree:
+                            n_meta += dirty_path(
+                                mac_line - mac_base, macs_in_llc,
+                                "wmr", "mac", when, core,
+                            )
+                if parity_on_write:
+                    # Synergy: the new parity is computed from the written
+                    # line itself, so no read is needed.
+                    tally("wpw", True, "parity", write)
+                    n_meta += 1
+                    batch_append(
+                        (write, parity_base + line // PARITY_COVERAGE,
+                         when, "parity", core)
+                    )
+                if lotecc_rmw:
+                    parity_line = parity_base + line // PARITY_COVERAGE
+                    if not lotecc_coalesced:
+                        # Tier-2 parity needs its old contents.
+                        tally("wpr", True, "parity", read)
+                        n_meta += 1
+                        batch_append((read, parity_line, when, "parity", core))
+                    tally("wpw", True, "parity", write)
+                    n_meta += 1
+                    batch_append((write, parity_line, when, "parity", core))
+            self._n_metadata_accesses += n_meta
 
-        return writeback_fast
+        return writeback
 
-    def _build_fast_warm(self):
-        """Build the fused warmup metadata walk (fast-path designs only).
+    def _build_warm(self):
+        """Build the warm-up metadata walk (encrypted designs only).
 
-        Performs exactly the cache-state transitions of
-        :meth:`warm_miss_metadata` — dedicated/LLC dict probes with
-        ``is_write``-honouring dirty bits, victim spills, break-on-hit
-        Bonsai walk — with every stat bump skipped (legal only in warmup:
-        ``SystemSimulator.warmup`` resets all of them afterwards) and
-        memory writebacks dropped (warmup generates no DRAM traffic).
+        Performs exactly the cache-state transitions the read/write walk
+        would — dedicated/LLC dict probes with ``is_write``-honouring
+        dirty bits, victim spills, break-on-hit Bonsai and MAC-tree walks,
+        IVEC's LLC MAC copy — with every stat bump skipped (legal only in
+        warm-up: ``SystemSimulator.warmup`` resets all of them afterwards)
+        and memory writebacks dropped (warm-up generates no DRAM traffic).
         Dirty dedicated victims still spill into the LLC when the design
         backs metadata there, because that *is* cache state.
         """
@@ -1008,18 +751,16 @@ class SecureTimingEngine:
         counter_base = map_.counter_base
         counter_coverage = map_.counter_coverage
         mac_base = map_.mac_base
+        bonsai = design.tree_kind is TreeKind.BONSAI_COUNTER
+        mac_tree = design.tree_kind is TreeKind.MAC_TREE
         counters_in_llc = design.counters_in_llc
-        mac_llc_fill = (
-            design.mac_location is MacLocation.SEPARATE and design.macs_in_llc
-        )
-        tree_levels = tuple(
-            (base, size - 1)
-            for base, size in zip(map_.tree_level_bases, map_.tree_level_sizes)
-        )
+        separate_mac = design.mac_location is MacLocation.SEPARATE
+        macs_in_llc = design.macs_in_llc
+        tree_levels = map_.tree_levels()
         arity = TREE_ARITY
         absent = ABSENT
 
-        def warm_probe(line, is_write):
+        def warm_probe(line, is_write, use_llc):
             # access_metadata's state transitions, stats-free: dedicated
             # probe, optional LLC layer, dirty-victim spill. Returns hit.
             ways = md_sets[line & md_mask]
@@ -1034,7 +775,7 @@ class SecureTimingEngine:
                 if ways.pop(victim_tag):
                     victim = (victim_tag << md_shift) | (line & md_mask)
             ways[tag] = is_write
-            if not counters_in_llc:
+            if not use_llc:
                 return False
             llc_ways = llc_sets[line & llc_mask]
             llc_tag = line >> llc_shift
@@ -1051,292 +792,23 @@ class SecureTimingEngine:
                 llc_fill(victim, True)
             return False
 
-        def warm_fast(data_line, is_write):
-            counter_line = counter_base + data_line // counter_coverage
-            if not warm_probe(counter_line, is_write):
-                # Bonsai walk toward the cached anchor (every fast-path
-                # encrypted design is Bonsai), break on first hit.
-                index = counter_line - counter_base
-                for level_base, level_cap in tree_levels:
-                    index //= arity
-                    tree_line = level_base + (
-                        index if index < level_cap else level_cap
-                    )
-                    if warm_probe(tree_line, is_write):
-                        break
-            if mac_llc_fill:
-                llc_fill(mac_base + data_line // MAC_COVERAGE)
-
-        return warm_fast
-
-    # ------------------------------------------------------------------
-    # Cache warmup (no DRAM traffic)
-    # ------------------------------------------------------------------
-
-    def warm_data_access(self, data_line: int, is_write: bool) -> None:
-        """Replay one access through the caches without any memory traffic.
-
-        Used to reach cache steady state before timing measurement — the
-        paper's 1B-instruction slices run with warm caches; short synthetic
-        traces must not measure an LLC that never filled (see DESIGN.md).
-        """
-        result = self.hierarchy.access_data(data_line, is_write)
-        if result.hit or not self.design.encrypted:
-            return
-        self.warm_miss_metadata(data_line, is_write)
-
-    def warm_miss_metadata(self, data_line: int, is_write: bool) -> None:
-        """The metadata half of :meth:`warm_data_access` (post-LLC-miss).
-
-        Split out so the system's fused warmup loop — which inlines the
-        LLC probe itself — can invoke just the metadata walk on misses of
-        encrypted designs.
-        """
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        chain = self.hierarchy.access_metadata(
-            counter_line, is_write=is_write, use_llc=design.counters_in_llc
-        )
-        if not chain.hit and design.tree_kind is TreeKind.BONSAI_COUNTER:
-            for tree_line in self.map.tree_path_from_counter(counter_line):
-                node = self.hierarchy.access_metadata(
-                    tree_line, is_write=is_write, use_llc=design.counters_in_llc
-                )
-                if node.hit:
+        def warm_walk(index, is_write, use_llc):
+            # Break-on-hit walk toward the cached anchor.
+            for level_base, level_cap in tree_levels:
+                index //= arity
+                line = level_base + (index if index < level_cap else level_cap)
+                if warm_probe(line, is_write, use_llc):
                     break
-        if design.mac_location is MacLocation.SEPARATE:
-            mac_line = self.map.mac_line(data_line)
-            walk_tree = design.tree_kind is TreeKind.MAC_TREE
-            if design.macs_cached:
-                mac = self.hierarchy.access_metadata(
-                    mac_line, is_write=is_write, use_llc=design.macs_in_llc
-                )
-                walk_tree = walk_tree and not mac.hit
-            elif design.macs_in_llc:
-                self.hierarchy.llc.fill(mac_line)
-            if walk_tree:
-                for tree_line in self.map.tree_path_from_mac(mac_line):
-                    node = self.hierarchy.access_metadata(
-                        tree_line, is_write=is_write, use_llc=design.macs_in_llc
-                    )
-                    if node.hit:
-                        break
 
-    # ------------------------------------------------------------------
-    # Read path (LLC data miss)
-    # ------------------------------------------------------------------
+        def warm(data_line, is_write):
+            counter_line = counter_base + data_line // counter_coverage
+            if not warm_probe(counter_line, is_write, counters_in_llc) and bonsai:
+                warm_walk(counter_line - counter_base, is_write, counters_in_llc)
+            if separate_mac:
+                mac_line = mac_base + data_line // MAC_COVERAGE
+                if macs_in_llc:
+                    llc_fill(mac_line)
+                if mac_tree:
+                    warm_walk(mac_line - mac_base, is_write, macs_in_llc)
 
-    def expand_read_miss(self, data_line: int, when: int, core: int) -> ExpandedAccess:
-        """Generate the memory traffic for one LLC read miss.
-
-        Emissions (including any triggered writeback chains) buffer into
-        one ``enqueue_batch`` flush — same requests, order and sequence
-        numbers as serial enqueues, minus the per-call overhead.
-        """
-        design = self.design
-        out = ExpandedAccess()
-        top = not self._batching
-        if top:
-            self._batching = True
-        try:
-            self._emit_read(out, data_line, when, "data", core)
-            if design.encrypted:
-                self._fetch_counter_chain(out, data_line, when, core)
-                if design.mac_location is MacLocation.SEPARATE:
-                    self._fetch_mac(out, data_line, when, core)
-        finally:
-            if top:
-                self._flush_batch(out)
-        return out
-
-    def _fetch_counter_chain(
-        self, out: ExpandedAccess, data_line: int, when: int, core: int
-    ) -> None:
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        result = self.hierarchy.access_metadata(
-            counter_line, is_write=False, use_llc=design.counters_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if result.hit:
-            self._c_counter_hits.value += 1
-            self._n_counter_hits += 1
-            return
-        self._emit_read(out, counter_line, when, "counter", core)
-        if design.tree_kind is not TreeKind.BONSAI_COUNTER:
-            return
-        # Walk the counter tree until a cached level (trust anchor).
-        depth = 0
-        for tree_line in self.map.tree_path_from_counter(counter_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=False, use_llc=design.counters_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if node.hit:
-                break
-            self._emit_read(out, tree_line, when, "counter", core)
-            depth += 1
-        acc = self._tree_depth_acc
-        try:
-            acc[depth] += 1
-        except KeyError:
-            acc[depth] = 1
-
-    def _fetch_mac(
-        self, out: ExpandedAccess, data_line: int, when: int, core: int
-    ) -> None:
-        design = self.design
-        mac_line = self.map.mac_line(data_line)
-        if not design.macs_cached:
-            # Table II: SGX/SGX_O cache MACs nowhere — every data access
-            # pays a MAC memory access (the traffic Synergy eliminates).
-            # IVEC additionally *stores* its (untrusted) MACs in the LLC,
-            # displacing data without eliding the fetch (design note in
-            # repro.secure.designs.IVEC).
-            self._emit_read(out, mac_line, when, "mac", core)
-            if design.macs_in_llc:
-                self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-            self._walk_mac_tree_read(out, mac_line, when, core)
-            return
-        result = self.hierarchy.access_metadata(
-            mac_line, is_write=False, use_llc=design.macs_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if result.hit:
-            self._c_mac_hits.value += 1
-            self._n_mac_hits += 1
-            return
-        self._emit_read(out, mac_line, when, "mac", core)
-        self._walk_mac_tree_read(out, mac_line, when, core)
-
-    def _walk_mac_tree_read(
-        self, out: ExpandedAccess, mac_line: int, when: int, core: int
-    ) -> None:
-        """IVEC read path: the MAC is a tree member — walk the MAC tree."""
-        design = self.design
-        if design.tree_kind is not TreeKind.MAC_TREE:
-            return
-        depth = 0
-        for tree_line in self.map.tree_path_from_mac(mac_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=False, use_llc=design.macs_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if node.hit:
-                break
-            self._emit_read(out, tree_line, when, "mac", core)
-            depth += 1
-        acc = self._mac_tree_depth_acc
-        try:
-            acc[depth] += 1
-        except KeyError:
-            acc[depth] = 1
-
-    def sync_telemetry(self) -> None:
-        """Publish the deferred telemetry into the registry objects.
-
-        Counters publish the delta since the last sync (watermarked, so
-        instances sharing a registry counter each contribute their own
-        events); histogram tallies flush weight-batched — all integer
-        observations, so batching is bit-exact. ``SystemSimulator.run``
-        calls this before the snapshot.
-        """
-        synced = self._synced_telemetry
-        self._t_metadata_accesses.inc(self._n_metadata_accesses - synced[0])
-        self._t_counter_hits.inc(self._n_counter_hits - synced[1])
-        self._t_mac_hits.inc(self._n_mac_hits - synced[2])
-        synced[0] = self._n_metadata_accesses
-        synced[1] = self._n_counter_hits
-        synced[2] = self._n_mac_hits
-        for acc, histogram in (
-            (self._tree_depth_acc, self._t_tree_walk_depth),
-            (self._mac_tree_depth_acc, self._t_mac_tree_walk_depth),
-        ):
-            for value, weight in acc.items():
-                histogram.record(value, weight)
-            acc.clear()
-
-    # ------------------------------------------------------------------
-    # Write path (LLC dirty-data eviction = memory write)
-    # ------------------------------------------------------------------
-
-    def expand_data_writeback(self, data_line: int, when: int, core: int) -> None:
-        """Generate the (posted) traffic for one data writeback."""
-        design = self.design
-        was_writeback = self._in_writeback_path
-        self._in_writeback_path = True
-        try:
-            self._expand_data_writeback(data_line, when, core)
-        finally:
-            self._in_writeback_path = was_writeback
-
-    def _expand_data_writeback(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        self._emit_write(data_line, when, "data", core)
-        if design.encrypted:
-            self._update_counter_chain(data_line, when, core)
-            if design.mac_location is MacLocation.SEPARATE:
-                self._update_mac(data_line, when, core)
-        if design.parity_write_on_data_write:
-            # Synergy: the parity region sees one write per data write;
-            # the new parity is computed from the written line itself so no
-            # read is needed (ParityP updated via DIMM-internal masking).
-            self._emit_write(self.map.parity_line(data_line), when, "parity", core)
-        if design.lotecc_parity_rmw:
-            parity_line = self.map.parity_line(data_line)
-            if not design.lotecc_write_coalescing:
-                # Tier-2 parity needs old contents: read-modify-write.
-                self._emit_rmw_read(parity_line, when, "parity", core)
-            self._emit_write(parity_line, when, "parity", core)
-
-    def _update_counter_chain(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        counter_line = self.map.counter_line(data_line)
-        result = self.hierarchy.access_metadata(
-            counter_line, is_write=True, use_llc=design.counters_in_llc
-        )
-        self._handle_writeback(result.writeback_address, when, core)
-        if not result.hit:
-            # RMW: must fetch the counter line before bumping it.
-            self._emit_rmw_read(counter_line, when, "counter", core)
-        if design.tree_kind is not TreeKind.BONSAI_COUNTER:
-            return
-        # Updates dirty *every* level up to the root (each level's counter
-        # increments); cached levels cost no traffic but uncached ones must
-        # be fetched for the read-modify-write.
-        for tree_line in self.map.tree_path_from_counter(counter_line):
-            node = self.hierarchy.access_metadata(
-                tree_line, is_write=True, use_llc=design.counters_in_llc
-            )
-            self._handle_writeback(node.writeback_address, when, core)
-            if not node.hit:
-                self._emit_rmw_read(tree_line, when, "counter", core)
-
-    def _update_mac(self, data_line: int, when: int, core: int) -> None:
-        design = self.design
-        mac_line = self.map.mac_line(data_line)
-        if not design.macs_cached:
-            # Uncached MAC update: one (masked) memory write per data write.
-            self._emit_write(mac_line, when, "mac", core)
-            if design.macs_in_llc:
-                self._handle_writeback(self.hierarchy.llc.fill(mac_line), when, core)
-            if design.tree_kind is not TreeKind.MAC_TREE:
-                return
-        else:
-            result = self.hierarchy.access_metadata(
-                mac_line, is_write=True, use_llc=design.macs_in_llc
-            )
-            self._handle_writeback(result.writeback_address, when, core)
-            if not result.hit:
-                self._emit_rmw_read(mac_line, when, "mac", core)
-        if design.tree_kind is TreeKind.MAC_TREE:
-            # A Merkle tree of MACs must re-hash every level to the root on
-            # each update — the write-amplification that makes the
-            # non-Bonsai structure expensive (§VII-A1).
-            for tree_line in self.map.tree_path_from_mac(mac_line):
-                node = self.hierarchy.access_metadata(
-                    tree_line, is_write=True, use_llc=design.macs_in_llc
-                )
-                self._handle_writeback(node.writeback_address, when, core)
-                if not node.hit:
-                    self._emit_rmw_read(tree_line, when, "mac", core)
+        return warm

@@ -203,7 +203,6 @@ def _warm_key(
         design.encrypted,
         design.counters_in_llc,
         design.mac_location,
-        design.macs_cached,
         design.macs_in_llc,
         design.tree_kind,
         design.counter_mode,

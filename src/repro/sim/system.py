@@ -59,10 +59,9 @@ class SystemSimulator:
         self.engine = SecureTimingEngine(
             design, self.hierarchy, self.controller, config.num_data_lines
         )
-        # Columnar timing plane: the engine buffers every emission of an
-        # epoch and flushes once at the resolve boundary; blocking sets
-        # are tracked as indices into that epoch batch (see _resolve).
-        self.engine.begin_deferred()
+        # The engine buffers every emission of an epoch and flushes once
+        # at the resolve boundary; blocking sets are tracked as indices
+        # into that epoch batch (see _resolve).
         self.stats = StatGroup("system")
         self._traces = list(traces)
         self._unresolved: List[Tuple[AccessHandle, List[int], float]] = []
@@ -93,10 +92,9 @@ class SystemSimulator:
         self._llc_shift = llc._set_shift
         self._llc_assoc = llc.associativity
         self._expand_miss = self.engine.expand_read_miss_deferred
-        # Dirty-data evictions route through the fused writeback drain on
-        # fast-path designs; the scalar drain elsewhere (same boundary as
-        # miss expansion).
-        self._writeback = self.engine.fast_writeback or self.engine.writeback
+        # Dirty-data evictions drain through the engine (write-side
+        # metadata walk, eviction chains).
+        self._writeback = self.engine.writeback
 
     # ------------------------------------------------------------------
     # Core-facing memory interface
@@ -220,16 +218,14 @@ class SystemSimulator:
         # Fused replay: the LLC probe is inlined with every stat bump
         # skipped — legal only here, because reset_stats/reset_fill_stats
         # below zero every counter warmup would have touched. Metadata
-        # walks (the miss minority) still run through the engine.
+        # walks (the miss minority) run through the engine's warm walk,
+        # which skips stats the same way.
         llc_sets = self._llc_sets
         llc_mask = self._llc_mask
         llc_shift = self._llc_shift
         llc_assoc = self._llc_assoc
         encrypted = self.design.encrypted
-        # Fast-path designs use the fused warm walk (same state
-        # transitions, stats skipped); MAC-tree/cached-MAC designs keep
-        # the scalar walk — the same oracle boundary as miss expansion.
-        warm_metadata = self.engine.fast_warm or self.engine.warm_miss_metadata
+        warm_metadata = self.engine.warm_metadata
         absent = ABSENT
         for trace in traces:
             # Columnar iteration: plain (gap, is_write, line) ints — the

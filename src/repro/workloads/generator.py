@@ -15,20 +15,17 @@ Instruction gaps between accesses are geometric with mean set by the
 profile's APKI, so the generated trace hits the target intensity in
 expectation and the per-record variance resembles bursty real traces.
 
-Two implementations produce **bit-identical** traces:
-
-* :func:`generate_trace_reference` — the original per-record loop calling
-  ``DeterministicRng`` methods; the readable specification and the oracle
-  for the batched path.
-* :func:`generate_trace` — batched: peeks a block of raw Mersenne-Twister
-  words (``DeterministicRng.peek_raw_words``), precomputes every float
-  draw / threshold compare / bit draw over the whole block with numpy,
-  walks the stream with a control-only Python loop that mirrors exactly
-  how ``random.Random`` consumes words (2 words per ``random()``, one
-  word per bounded ``getrandbits`` with rejection above the bound), then
-  gathers gaps/ops vectorised by record offset. Finally the RNG is
-  advanced by the exact number of words consumed, so any interleaved
-  scalar use continues identically.
+:func:`generate_trace` is batched: it peeks a block of raw
+Mersenne-Twister words (``DeterministicRng.peek_raw_words``), precomputes
+every float draw / threshold compare / bit draw over the whole block with
+numpy, walks the stream with a control-only Python loop that mirrors
+exactly how ``random.Random`` consumes words (2 words per ``random()``,
+one word per bounded ``getrandbits`` with rejection above the bound), then
+gathers gaps/ops vectorised by record offset. Finally the RNG is advanced
+by the exact number of words consumed, so any interleaved scalar use
+continues identically. Its traces are bit-identical to the per-record
+reference loop in ``tests/oracles.py``, which states the draw sequence
+readably.
 
 The only non-exact vector op is ``np.log`` (1-ulp differences vs
 ``math.log``); gap values whose truncation could straddle an integer are
@@ -40,16 +37,13 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.cpu.trace import MemoryOp, Trace, TraceRecord
+import numpy as _np
+
+from repro.cpu.trace import Trace
 from repro.simcontext import current_context
 from repro.util.rng import DeterministicRng, derive_seed, mt_unit_floats
 from repro.util.units import CACHELINE_BYTES, KIB, MIB
 from repro.workloads.profiles import WorkloadProfile
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 
 #: Number of concurrent stride-1 streams for the sequential component.
 _NUM_STREAMS = 4
@@ -81,92 +75,6 @@ def _geometry(profile: WorkloadProfile, scale_divisor: int):
     return footprint_lines, hot_lines, num_pages
 
 
-def generate_trace_reference(
-    profile: WorkloadProfile,
-    num_accesses: int,
-    core_id: int = 0,
-    base_line: int = 0,
-    seed_salt: object = "trace",
-    scale_divisor: int = 1,
-) -> Trace:
-    """Generate ``num_accesses`` memory operations for one core (scalar).
-
-    ``base_line`` offsets the whole footprint, letting rate-mode cores run
-    disjoint copies (the paper's rate mode gives each core its own address
-    space). ``scale_divisor`` shrinks footprint and hot set for scaled
-    simulation (must match the cache scale so capacity ratios hold).
-    Deterministic given (profile.name, core_id, seed_salt).
-
-    This is the reference implementation :func:`generate_trace` must match
-    record-for-record; keep the draw sequence frozen.
-    """
-    _check_args(num_accesses, scale_divisor)
-    rng = DeterministicRng(derive_seed(profile.name, core_id, seed_salt))
-
-    footprint_lines, hot_lines, num_pages = _geometry(profile, scale_divisor)
-    # The hot set occupies the start of the footprint; streams and random
-    # draws roam everywhere (overlap with the hot set is harmless).
-    stream_positions = [
-        rng.randint(0, footprint_lines - 1) for _ in range(_NUM_STREAMS)
-    ]
-    # Recently-touched-page window for the random component's page locality.
-    page_window: List[int] = [rng.randint(0, num_pages - 1) for _ in range(_PAGE_WINDOW)]
-    window_cursor = 0
-    burst_page = page_window[0]
-    burst_left = 0
-    burst_offset = 0
-    active_stream = 0
-
-    mean_gap = max(0.0, 1000.0 / profile.apki - 1.0)
-    # Exponential inter-access gaps match the target APKI in expectation.
-    records: List[TraceRecord] = []
-    for _ in range(num_accesses):
-        gap = int(rng.expovariate(1.0 / mean_gap)) if mean_gap > 0 else 0
-        op = (
-            MemoryOp.WRITE
-            if rng.uniform() < profile.write_fraction
-            else MemoryOp.READ
-        )
-        draw = rng.uniform()
-        if draw < profile.sequential:
-            # Sticky stream selection: real streaming loops issue long runs
-            # from one stream before switching (row-buffer locality).
-            if rng.uniform() > _STREAM_STICKINESS:
-                current_stream = rng.randint(0, _NUM_STREAMS - 1)
-            else:
-                current_stream = active_stream
-            active_stream = current_stream
-            stream_positions[current_stream] = (
-                stream_positions[current_stream] + 1
-            ) % footprint_lines
-            line = stream_positions[current_stream]
-        elif draw < profile.sequential + profile.hot:
-            line = rng.randint(0, hot_lines - 1)
-        else:
-            if burst_left <= 0:
-                # Pick the next page to burst into: usually a recently
-                # touched one, occasionally a fresh uniform page.
-                if rng.uniform() < profile.page_locality:
-                    burst_page = page_window[rng.randint(0, _PAGE_WINDOW - 1)]
-                else:
-                    burst_page = rng.randint(0, num_pages - 1)
-                    page_window[window_cursor] = burst_page
-                    window_cursor = (window_cursor + 1) % _PAGE_WINDOW
-                burst_left = 1 + int(rng.expovariate(1.0 / profile.burst_length))
-                burst_offset = rng.randint(0, _LINES_PER_PAGE - 1)
-            burst_left -= 1
-            # Bursts walk the page sequentially: real miss streams are
-            # spatially clustered, which is what lets one counter line
-            # (covering 8 adjacent data lines) serve a run of misses.
-            line = min(
-                footprint_lines - 1,
-                burst_page * _LINES_PER_PAGE + burst_offset % _LINES_PER_PAGE,
-            )
-            burst_offset += 1
-        records.append(TraceRecord(gap, op, base_line + line))
-    return Trace(records, name="%s.c%d" % (profile.name, core_id))
-
-
 def generate_trace(
     profile: WorkloadProfile,
     num_accesses: int,
@@ -175,15 +83,14 @@ def generate_trace(
     seed_salt: object = "trace",
     scale_divisor: int = 1,
 ) -> Trace:
-    """Batched trace generation, bit-identical to the reference.
+    """Generate ``num_accesses`` memory operations for one core.
 
-    See :func:`generate_trace_reference` for semantics. Falls back to the
-    reference loop when numpy is unavailable.
+    ``base_line`` offsets the whole footprint, letting rate-mode cores run
+    disjoint copies (the paper's rate mode gives each core its own address
+    space). ``scale_divisor`` shrinks footprint and hot set for scaled
+    simulation (must match the cache scale so capacity ratios hold).
+    Deterministic given (profile.name, core_id, seed_salt).
     """
-    if _np is None:
-        return generate_trace_reference(
-            profile, num_accesses, core_id, base_line, seed_salt, scale_divisor
-        )
     _check_args(num_accesses, scale_divisor)
     rng = DeterministicRng(derive_seed(profile.name, core_id, seed_salt))
 

@@ -1,11 +1,12 @@
-"""Randomized scalar-vs-vector equivalence for the columnar timing plane.
+"""Randomized equivalence: the shipped secure engine vs its scalar oracle.
 
-The epoch-deferred engine (``begin_deferred`` + fused fast paths) must be
-bit-identical to the scalar oracle for *every* design in
-``secure/designs.py`` — not just the golden grid's subset. These tests
-drive one scalar and one deferred engine with the same pseudo-random
-access stream (an LCG, so failures reproduce exactly) and compare every
-observable:
+``SecureTimingEngine`` (closures that inline the cache probes and batch
+their emissions per epoch) must be bit-identical to ``ScalarTimingEngine``
+in ``tests/oracles.py`` (one ``access_metadata`` call per probe, one
+``enqueue`` per request) for *every* design in ``secure/designs.py`` —
+IVEC's MAC tree included, not just the golden grid's subset. These tests
+drive both engines with the same pseudo-random access stream (an LCG, so
+failures reproduce exactly) and compare every observable:
 
 * the controller's incoming queues — request lines, kinds, categories,
   arrival times and **sequence numbers**, per channel, in order;
@@ -14,8 +15,8 @@ observable:
 * both cache's full set dictionaries — entry order *is* LRU state;
 * the per-engine telemetry snapshot.
 
-The warm phase exercises ``fast_warm`` against ``warm_miss_metadata``
-under the same post-warmup reset contract the system simulator applies.
+The warm phase compares the two ``warm_metadata`` walks under the same
+post-warmup reset contract the system simulator applies.
 
 A second class pins the Monte-Carlo multi-shard batched classification
 (``simulate_shards_batched``) to the per-shard reference, including the
@@ -38,9 +39,11 @@ from repro.reliability.schemes import (
     SECDED_SCHEME,
     SYNERGY_SCHEME,
 )
-from repro.secure.designs import ALL_DESIGNS
+from repro.secure.designs import ALL_DESIGNS, IVEC, LOTECC, SGX_O, SYNERGY
 from repro.secure.timing_engine import SecureTimingEngine
 from repro.telemetry import cell_scope
+
+from oracles import ScalarTimingEngine
 
 #: Small caches so a short stream still produces evictions, dirty spills
 #: and metadata-cache misses (the interesting transitions).
@@ -58,24 +61,24 @@ def _lcg_stream(seed):
         yield state
 
 
-def _drive(design, deferred, seed):
+def _resolve(blocking_log, pending, requests):
+    for event, indices in pending:
+        blocking_log.append(
+            (
+                event,
+                [(requests[i].line_address, requests[i].sequence) for i in indices],
+            )
+        )
+    del pending[:]
+
+
+def _drive(design, engine_cls, seed):
     """Run one engine over the shared stream; return its observables."""
-    with cell_scope(cell="equiv:%s:%s" % (design.name, deferred)) as registry:
+    cell = "equiv:%s:%s" % (design.name, engine_cls.__name__)
+    with cell_scope(cell=cell) as registry:
         controller = MemoryController(MemoryConfig())
         hierarchy = CacheHierarchy(_CACHES)
-        engine = SecureTimingEngine(
-            design, hierarchy, controller, _NUM_DATA_LINES
-        )
-        if deferred:
-            engine.begin_deferred()
-            expand = engine.expand_read_miss_deferred
-            handle_writeback = engine.fast_writeback or engine.writeback
-            warm = engine.fast_warm or engine.warm_miss_metadata
-        else:
-            expand = engine.expand_read_miss
-            handle_writeback = engine.writeback
-            warm = engine.warm_miss_metadata
-
+        engine = engine_cls(design, hierarchy, controller, _NUM_DATA_LINES)
         stream = _lcg_stream(seed)
 
         # Warm phase: metadata walks only (the system simulator handles
@@ -83,14 +86,14 @@ def _drive(design, deferred, seed):
         if design.encrypted:
             for index in range(_WARM_EVENTS):
                 value = next(stream)
-                warm(value % _NUM_DATA_LINES, index % 3 == 0)
+                engine.warm_metadata(value % _NUM_DATA_LINES, index % 3 == 0)
         hierarchy.llc.reset_stats()
         hierarchy.metadata_cache.reset_stats()
         hierarchy.reset_fill_stats()
 
         # Measured phase: read-miss expansions with a writeback every
-        # fifth event; the deferred engine flushes every _FLUSH_EVERY
-        # events, mirroring the system's resolve boundary.
+        # fifth event and an epoch flush every _FLUSH_EVERY events,
+        # mirroring the system's resolve boundary.
         blocking_log = []
         pending = []  # (event_index, indices) awaiting this epoch's flush
         for index in range(_MEASURED_EVENTS):
@@ -99,42 +102,14 @@ def _drive(design, deferred, seed):
             when = 2 + index * 3
             core = value % 4
             if index % 5 == 4:
-                handle_writeback(line, when, core)
-            elif deferred:
-                pending.append((index, expand(line, when, core)))
+                engine.writeback(line, when, core)
             else:
-                access = expand(line, when, core)
-                blocking_log.append(
-                    (
-                        index,
-                        [(r.line_address, r.sequence) for r in access.blocking],
-                    )
+                pending.append(
+                    (index, engine.expand_read_miss_deferred(line, when, core))
                 )
-            if deferred and (index + 1) % _FLUSH_EVERY == 0:
-                requests = engine.flush_epoch()
-                for event, indices in pending:
-                    blocking_log.append(
-                        (
-                            event,
-                            [
-                                (requests[i].line_address, requests[i].sequence)
-                                for i in indices
-                            ],
-                        )
-                    )
-                pending = []
-        if deferred:
-            requests = engine.flush_epoch()
-            for event, indices in pending:
-                blocking_log.append(
-                    (
-                        event,
-                        [
-                            (requests[i].line_address, requests[i].sequence)
-                            for i in indices
-                        ],
-                    )
-                )
+            if (index + 1) % _FLUSH_EVERY == 0:
+                _resolve(blocking_log, pending, engine.flush_epoch())
+        _resolve(blocking_log, pending, engine.flush_epoch())
         engine.sync_telemetry()
 
         queues = [
@@ -183,24 +158,22 @@ def _drive(design, deferred, seed):
     "design", ALL_DESIGNS, ids=[d.name for d in ALL_DESIGNS]
 )
 def test_deferred_engine_matches_scalar_oracle(design):
-    """Every design: columnar/deferred run == scalar run, bit for bit."""
-    scalar = _drive(design, deferred=False, seed=0xC0FFEE)
-    vector = _drive(design, deferred=True, seed=0xC0FFEE)
-    for key in scalar:
-        assert vector[key] == scalar[key], (
+    """Every design: shipped engine == scalar oracle, bit for bit."""
+    oracle = _drive(design, ScalarTimingEngine, seed=0xC0FFEE)
+    shipped = _drive(design, SecureTimingEngine, seed=0xC0FFEE)
+    for key in oracle:
+        assert shipped[key] == oracle[key], (
             "%s diverged for %s" % (key, design.name)
         )
 
 
 @pytest.mark.parametrize("seed", [1, 2018, 0x5EED])
 def test_deferred_equivalence_seed_sweep(seed):
-    """Fast-path boundary designs stay equivalent across seeds."""
-    from repro.secure.designs import LOTECC, SGX_O, SYNERGY
-
-    for design in (SGX_O, SYNERGY, LOTECC):
-        scalar = _drive(design, deferred=False, seed=seed)
-        vector = _drive(design, deferred=True, seed=seed)
-        assert vector == scalar, design.name
+    """One design per walk shape stays equivalent across seeds."""
+    for design in (SGX_O, SYNERGY, LOTECC, IVEC):
+        oracle = _drive(design, ScalarTimingEngine, seed=seed)
+        shipped = _drive(design, SecureTimingEngine, seed=seed)
+        assert shipped == oracle, design.name
 
 
 class TestMonteCarloBatched:

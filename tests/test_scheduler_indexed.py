@@ -12,6 +12,8 @@ import pytest
 from repro.dram.scheduler import BankIndexedPool, FrFcfsScheduler
 from repro.util.rng import DeterministicRng
 
+from oracles import reference_choose
+
 
 class FakeRequest:
     __slots__ = ("flat_bank", "row", "arrival")
@@ -57,7 +59,7 @@ def drive(seed: int, steps: int, banks: int = 8, rows: int = 4) -> int:
                 reads.append(request)
                 read_pool.add(request)
             continue
-        expected = reference.choose(channel, reads, writes)
+        expected = reference_choose(reference, channel, reads, writes)
         actual = indexed.choose_indexed(read_pool, write_pool)
         assert actual is expected, (
             f"step {step}: indexed chose {actual}, reference {expected}"

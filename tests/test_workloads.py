@@ -3,11 +3,7 @@
 import pytest
 
 from repro.cpu.trace import MemoryOp
-from repro.workloads.generator import (
-    generate_trace,
-    generate_trace_reference,
-    rate_mode_traces,
-)
+from repro.workloads.generator import generate_trace, rate_mode_traces
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import (
     ALL_WORKLOADS,
@@ -18,6 +14,8 @@ from repro.workloads.profiles import (
     profile_by_name,
 )
 from repro.workloads.suites import workload_suite
+
+from oracles import generate_trace_reference
 
 
 class TestProfiles:
@@ -162,12 +160,13 @@ class TestVectorizedEquivalence:
     """The batched generator must match the scalar reference bit-for-bit.
 
     ``generate_trace`` decodes a peeked raw Mersenne-Twister word block
-    with numpy; ``generate_trace_reference`` is the original per-record
-    loop. Any record-level divergence silently changes every downstream
-    golden, so equality is checked record-for-record here across the
-    profile space, including the decoder's special-cased regions (no-gap
-    traces, pure branches, the run-accelerated sequential walk, tiny
-    footprints where the page count collapses to one).
+    with numpy; ``generate_trace_reference`` (``tests/oracles.py``) is
+    the original per-record loop. Any record-level divergence silently
+    changes every downstream golden, so equality is checked
+    record-for-record here across the profile space, including the
+    decoder's special-cased regions (no-gap traces, pure branches, the
+    run-accelerated sequential walk, tiny footprints where the page count
+    collapses to one).
     """
 
     @staticmethod

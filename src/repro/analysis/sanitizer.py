@@ -84,7 +84,8 @@ class Sanitizer:
         raise SanitizerError(message)
 
     # ------------------------------------------------------------------
-    # DRAM timing legality (hook: ChannelState.commit)
+    # DRAM timing legality (hook: MemoryController._process_channel,
+    # before each inline commit)
     # ------------------------------------------------------------------
 
     def check_dram_commit(
@@ -97,7 +98,8 @@ class Sanitizer:
         plan: Tuple[int, int, int],
     ) -> None:
         """Validate a planned access against the channel/bank state it is
-        about to be committed over (must run *before* ``commit`` mutates)."""
+        about to be committed over (must run *before* the commit mutates
+        bank, bus or activate state)."""
         self._enter("dram_commit")
         start, data_start, completion = plan
         timing = channel.timing
@@ -109,7 +111,14 @@ class Sanitizer:
                 f"DRAM: command starts at {start} before bank ready_at "
                 f"{bank_state.ready_at} (tCCD/tWR violation) [{where}]"
             )
-        latency = bank_state.access_latency(row, is_write)
+        # Classification latency from the timing parameters themselves:
+        # CAS (tCL/tCWL), plus ACT (tRCD) for a closed bank, plus PRE
+        # (tRP) for a row conflict.
+        latency = timing.t_cwl if is_write else timing.t_cl
+        if bank_state.open_row is None:
+            latency += timing.t_rcd
+        elif bank_state.open_row != row:
+            latency += timing.t_rp + timing.t_rcd
         if data_start - start < latency:
             self._fail(
                 f"DRAM: data_start-start={data_start - start} < "
@@ -150,10 +159,10 @@ class Sanitizer:
         if channel.config.model_refresh:
             phase = start % timing.t_refi
             if phase < timing.t_rfc:
-                # plan() lifts start out of the blackout *before* the tFAW
-                # and bus-turnaround stages, which may legitimately push it
-                # into a later blackout; a start inside a blackout is only a
-                # bug when no later constraint pinned it there.
+                # The planner lifts start out of the blackout *before* the
+                # tFAW and bus-turnaround stages, which may legitimately push
+                # it into a later blackout; a start inside a blackout is only
+                # a bug when no later constraint pinned it there.
                 pinned_by_bus = data_start == bus_bound
                 pinned_by_act = bool(history) and (
                     start == history[-1] + timing.t_rrd

@@ -1,20 +1,22 @@
 """One memory channel: a set of banks sharing a command/data bus.
 
-The channel tracks per-bank state plus data-bus occupancy and computes, for
-a candidate request, the earliest (start, data_start, completion) triple that
-respects bank timing, bus availability, and read/write turnaround.
+The channel holds per-bank state, the data-bus occupancy and read/write
+direction, the per-rank activate history (tFAW/tRRD) and the flat
+open-row table the scheduler classifies candidates against.
 
-Hot-path notes: ``plan``/``commit`` run once per scheduled request; the
-timing constants they consult are bound to attributes in ``__init__`` and
-row classification reads ``open_row`` directly instead of going through the
-string-returning ``classify``.
+Hot-path notes: the channel is state only. The controller's fused
+decision step (``MemoryController._process_channel``) plans and commits
+each scheduled request inline against this state — bank-ready clamp,
+refresh blackout, tFAW/tRRD, latency class, bus turnaround — keeping the
+bus fields in locals for a whole epoch and writing them back at its end.
+The readable plan/commit pair it must match lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.analysis.sanitizer import get_sanitizer
 from repro.dram.bank import BankState
 from repro.dram.timing import DramTiming, MemoryConfig
 
@@ -30,33 +32,21 @@ class ChannelState:
         "closed_banks",
         "bus_free_at",
         "last_was_write",
-        "busy_cycles",
         "_recent_activates",
-        "refresh_stall_cycles",
         "_banks_per_rank",
-        "_model_refresh",
-        "_model_faw",
-        "_t_refi",
-        "_t_rfc",
-        "_t_rrd",
-        "_t_faw",
-        "_t_wtr",
-        "_t_rtw",
-        "_t_burst",
-        "_sanitizer",
     )
 
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.timing: DramTiming = config.timing
         self.banks: List[BankState] = [
-            BankState(config.timing) for _ in range(config.banks_per_channel)
+            BankState() for _ in range(config.banks_per_channel)
         ]
         #: Open-row table: ``open_rows[flat_bank]`` mirrors the bank's
         #: ``open_row`` with -1 for closed. Schedulers classify candidates
         #: against this flat list (one index + compare) instead of chasing
         #: per-bank attributes, and the controller's row-hit index keys off
-        #: it. Maintained exclusively by :meth:`commit`.
+        #: it. Maintained by the controller's commit step.
         self.open_rows: List[int] = [-1] * config.banks_per_channel
         #: Banks whose row buffer has never been opened. Monotone to zero
         #: (open-page policy never precharges without activating), which
@@ -65,167 +55,15 @@ class ChannelState:
         self.closed_banks = config.banks_per_channel
         self.bus_free_at = 0
         self.last_was_write = False
-        self.busy_cycles = 0  #: data-bus occupancy accumulator (utilisation)
         #: per-rank recent activate times (tFAW/tRRD bookkeeping)
         self._recent_activates: List[List[int]] = [
             [] for _ in range(config.ranks_per_channel)
         ]
-        self.refresh_stall_cycles = 0
-        # Bound once: consulted on every plan/commit.
-        timing = config.timing
         self._banks_per_rank = config.banks_per_rank
-        self._model_refresh = config.model_refresh
-        self._model_faw = config.model_faw
-        self._t_refi = timing.t_refi
-        self._t_rfc = timing.t_rfc
-        self._t_rrd = timing.t_rrd
-        self._t_faw = timing.t_faw
-        self._t_wtr = timing.t_wtr
-        self._t_rtw = timing.t_rtw
-        self._t_burst = timing.t_burst
-        # None unless REPRO_SANITIZE is on; commit() checks the plan against
-        # pre-mutation state when set (see repro.analysis.sanitizer).
-        self._sanitizer = get_sanitizer()
 
     def flat_bank(self, rank: int, bank: int) -> int:
         """Flatten (rank, bank) into a channel-local bank index."""
         return rank * self._banks_per_rank + bank
-
-    # -- refresh ------------------------------------------------------------
-
-    def _after_refresh(self, start: int) -> int:
-        """Push ``start`` out of any periodic refresh blackout window.
-
-        All banks of a rank are unavailable for tRFC every tREFI; we model
-        the blackout as channel-wide (ranks refresh staggered in reality —
-        a second-order detail).
-        """
-        if not self._model_refresh:
-            return start
-        phase = start % self._t_refi
-        if phase < self._t_rfc:
-            shifted = start + (self._t_rfc - phase)
-            self.refresh_stall_cycles += shifted - start
-            return shifted
-        return start
-
-    # -- activation window ----------------------------------------------------
-
-    def _after_faw(self, rank: int, start: int, will_activate: bool) -> int:
-        """Respect tFAW (max 4 ACTs per rolling window) and tRRD."""
-        if not self._model_faw or not will_activate:
-            return start
-        history = self._recent_activates[rank]
-        if history:
-            after_rrd = history[-1] + self._t_rrd
-            if after_rrd > start:
-                start = after_rrd
-            if len(history) >= 4:
-                after_faw = history[-4] + self._t_faw
-                if after_faw > start:
-                    start = after_faw
-        return start
-
-    def plan(
-        self, rank: int, bank: int, row: int, is_write: bool, now: int
-    ) -> Tuple[int, int, int]:
-        """Earliest (command_start, data_start, completion) for a request.
-
-        Does not commit bank/bus state (only the refresh-stall accounting
-        mutates, exactly as the ``_after_refresh`` helper it inlines). The
-        body is self-contained — one call per scheduling decision instead
-        of four — but computes the identical sequence: bank-ready clamp,
-        refresh blackout, tFAW/tRRD, latency class, bus turnaround.
-        """
-        bank_state = self.banks[rank * self._banks_per_rank + bank]
-        ready = bank_state.ready_at
-        start = ready if ready > now else now
-        open_row = bank_state.open_row
-        if self._model_refresh:
-            phase = start % self._t_refi
-            if phase < self._t_rfc:
-                shifted = start + (self._t_rfc - phase)
-                self.refresh_stall_cycles += shifted - start
-                start = shifted
-        if open_row != row:
-            if self._model_faw:
-                history = self._recent_activates[rank]
-                if history:
-                    after_rrd = history[-1] + self._t_rrd
-                    if after_rrd > start:
-                        start = after_rrd
-                    if len(history) >= 4:
-                        after_faw = history[-4] + self._t_faw
-                        if after_faw > start:
-                            start = after_faw
-            if open_row is None:
-                latency = (
-                    bank_state._lat_closed_write
-                    if is_write
-                    else bank_state._lat_closed_read
-                )
-            else:
-                latency = (
-                    bank_state._lat_miss_write
-                    if is_write
-                    else bank_state._lat_miss_read
-                )
-        else:
-            latency = (
-                bank_state._lat_hit_write if is_write else bank_state._lat_hit_read
-            )
-        data_start = start + latency
-        if is_write:
-            turnaround = 0 if self.last_was_write else self._t_rtw
-        else:
-            turnaround = self._t_wtr if self.last_was_write else 0
-        earliest_bus = self.bus_free_at + turnaround
-        if data_start < earliest_bus:
-            shift = earliest_bus - data_start
-            start += shift
-            data_start += shift
-        completion = data_start + self._t_burst
-        return start, data_start, completion
-
-    def commit(
-        self, rank: int, bank: int, row: int, is_write: bool, plan: Tuple[int, int, int]
-    ) -> None:
-        """Apply a previously planned access to bank and bus state."""
-        if self._sanitizer is not None:
-            self._sanitizer.check_dram_commit(self, rank, bank, row, is_write, plan)
-        start, data_start, completion = plan
-        flat = rank * self._banks_per_rank + bank
-        bank_state = self.banks[flat]
-        # Inlined BankState.begin_access (kept as a method for unit tests):
-        # identical row-hit/miss accounting, activation tracking, and
-        # ready-time update, merged with the open-row table maintenance.
-        open_row = bank_state.open_row
-        if open_row == row:
-            bank_state.row_hits += 1
-        else:
-            if self._model_faw:
-                history = self._recent_activates[rank]
-                history.append(start)
-                if len(history) > 8:
-                    del history[:-8]
-            bank_state.row_misses += 1
-            if open_row is not None:
-                bank_state.activated_at = start + bank_state._t_rp
-            else:
-                bank_state.activated_at = start
-                self.closed_banks -= 1
-            bank_state.open_row = row
-            self.open_rows[flat] = row
-        bank_state.ready_at = start + (
-            bank_state._ready_delta_write if is_write else bank_state._ready_delta_read
-        )
-        self.bus_free_at = completion
-        self.last_was_write = is_write
-        self.busy_cycles += completion - data_start
-
-    def is_row_hit(self, rank: int, bank: int, row: int) -> bool:
-        """Does ``row`` currently sit in the bank's row buffer?"""
-        return self.banks[rank * self._banks_per_rank + bank].open_row == row
 
     @property
     def row_hit_rate(self) -> float:

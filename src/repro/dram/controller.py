@@ -11,17 +11,26 @@ Scheduling approximates FR-FCFS: at each decision the controller picks the
 queued request with the earliest achievable data transfer (row hits
 naturally win), with age as tie-break, and drains writes in bursts governed
 by watermarks. Command-bus serialisation is modelled at one command per
-cycle; rank-level constraints (tFAW/tRRD) are intentionally omitted
-(second-order for the traffic-volume effects this reproduction targets —
-see DESIGN.md).
+cycle. Refresh blackouts (tREFI/tRFC) and the rank activation limits
+(tRRD, tFAW) are modelled and on by default (``MemoryConfig.model_refresh``
+/ ``model_faw``); the constraint left unenforced is tRAS
+(``DramTiming.t_ras``, the minimum ACT-to-PRE time), second-order for the
+traffic-volume effects this reproduction targets (see DESIGN.md).
 
-Hot-path notes: ``enqueue`` and the per-decision scheduling loop run once
-per memory request and once per scheduling decision respectively — millions
-of times per grid cell. Request is a ``__slots__`` class with ``is_write``
-and the row-index key precomputed, per-(category, kind) stat counters are
-bound once in a lookup table instead of string-formatted per request, and
-``incoming`` is a plain list sorted once per ``process`` epoch (one Timsort
-over an almost-sorted list beats a heap pop per request).
+Hot-path notes: ``enqueue_batch`` and the per-decision scheduling loop run
+once per memory request and once per scheduling decision respectively —
+millions of times per grid cell. Request is a ``__slots__`` class with
+``is_write`` and the row-index key precomputed, per-(category, kind) stat
+counters are bound once in a lookup table instead of string-formatted per
+request, and ``incoming`` is a plain list sorted once per ``process`` epoch
+(one Timsort over an almost-sorted list beats a heap pop per request).
+
+Each decision is one fused step in ``_process_channel``: choose the request,
+plan its timing and commit it inline, with the channel's bus state held in
+locals for the epoch — no per-request plan/commit calls and no plan tuple.
+The readable reference (a per-request ``plan``/``commit`` channel and a
+plain windowed-scan controller) lives in ``tests/oracles.py``, and
+``tests/test_dram_reference.py`` checks the two schedule identically.
 
 The decision itself is indexed, not scanned: each pool keeps an incremental
 row-hit census (``_PoolRowIndex``) so the common cases resolve in O(1) —
@@ -201,6 +210,7 @@ class MemoryController:
         "_lat_closed_write",
         "_lat_miss_read",
         "_lat_miss_write",
+        "_plan_constants",
         "_t_row_hits",
         "_t_row_misses",
         "_synced_rows",
@@ -225,8 +235,8 @@ class MemoryController:
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.mapper = AddressMapper(config)
-        # Inlined power-of-two decode for enqueue: same arithmetic as
-        # AddressMapper.decode_fast, but with the channel/column shifts
+        # Inlined power-of-two decode for enqueue_batch: same arithmetic
+        # as AddressMapper.decode_fast, but with the channel/column shifts
         # folded together (enqueue never needs the column) and no call.
         mapper = self.mapper
         self._pow2_decode = getattr(mapper, "_pow2", False)
@@ -259,8 +269,9 @@ class MemoryController:
         self._h_read_latency = self.stats.histogram("read_latency")
         self._h_write_latency = self.stats.histogram("write_latency")
         self._c_data_bus_cycles = self.stats.counter("data_bus_cycles")
-        # Candidate-scan latency constants (identical across banks; see
-        # BankState.access_latency).
+        # Command-start to first-data-beat latency per row class and
+        # direction (identical across banks): a closed bank pays ACT (tRCD),
+        # a row miss PRE + ACT (tRP + tRCD), a row hit only the CAS.
         timing = config.timing
         self._lat_hit_read = timing.t_cl
         self._lat_hit_write = timing.t_cwl
@@ -268,6 +279,23 @@ class MemoryController:
         self._lat_closed_write = timing.t_rcd + timing.t_cwl
         self._lat_miss_read = timing.t_rp + timing.t_rcd + timing.t_cl
         self._lat_miss_write = timing.t_rp + timing.t_rcd + timing.t_cwl
+        # The rest of the commit-step constants, unpacked once per
+        # _process_channel call. After an access the bank is ready again at
+        # start + tCCD (+ tWR write recovery): the row is open by then, so
+        # the column latency cancels out of the ready time.
+        self._plan_constants = (
+            timing.t_ccd,
+            timing.t_ccd + timing.t_wr,
+            timing.t_refi,
+            timing.t_rfc,
+            timing.t_rrd,
+            timing.t_faw,
+            timing.t_wtr,
+            timing.t_rtw,
+            timing.t_burst,
+            config.model_refresh,
+            config.model_faw,
+        )
         registry = get_registry()
         self._t_row_hits = registry.counter("dram.row_hits")
         self._t_row_misses = registry.counter("dram.row_misses")
@@ -289,9 +317,11 @@ class MemoryController:
         self._depth_acc: Dict[int, int] = {}
         self._read_lat_acc: Dict[int, int] = {}
         self._write_lat_acc: Dict[int, int] = {}
-        # None unless REPRO_SANITIZE is on; when set, the row-hit index is
-        # cross-checked against a fresh queue scan (sampled per decision and
-        # at every process() epoch boundary).
+        # None unless REPRO_SANITIZE is on; when set, every commit is
+        # checked for timing legality against the pre-mutation channel
+        # state, and the row-hit index is cross-checked against a fresh
+        # queue scan (sampled per decision and at every process() epoch
+        # boundary).
         self._sanitizer = get_sanitizer()
         self._san_tick = 0
 
@@ -307,61 +337,6 @@ class MemoryController:
         table[category] = counters
         return counters
 
-    def enqueue(
-        self,
-        kind: RequestKind,
-        line_address: int,
-        arrival: int,
-        category: str = "data",
-        core: int = 0,
-    ) -> Request:
-        """Add a request; its ``completion`` is set by :meth:`process`."""
-        if self._pow2_decode:
-            masked = line_address & self._dec_total_mask
-            channel = masked & self._dec_channel_mask
-            bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
-            rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
-            row = (masked >> self._dec_row_shift) & self._dec_row_mask
-        else:
-            channel, rank, bank, row, _column = self.mapper.decode_fast(
-                line_address
-            )
-        sequence = self._sequence + 1
-        self._sequence = sequence
-        # Build the request through __new__ + direct slot writes: ~2.5x
-        # cheaper than the __init__ call on this per-request path.
-        request = Request.__new__(Request)
-        request.kind = kind
-        request.line_address = line_address
-        request.arrival = arrival
-        request.category = category
-        request.core = core
-        request.channel = channel
-        request.rank = rank
-        request.bank = bank
-        request.row = row
-        flat_bank = rank * self._banks_per_rank + bank
-        request.flat_bank = flat_bank
-        request.row_key = (flat_bank << 40) | row
-        request.completion = None
-        request.sequence = sequence
-        request.is_write = kind is _WRITE
-        queues = self._queues[channel]
-        # Plain append: _process_channel sorts the backlog once per epoch.
-        # Arrivals are emitted almost-sorted, so the Timsort is near-linear
-        # and strictly cheaper than a heap operation per request.
-        queues.incoming.append((arrival, sequence, request))
-        table = self._write_counters if kind is _WRITE else self._read_counters
-        try:
-            counters = table[category]
-        except KeyError:
-            counters = self._counters_for(category, kind)
-        # Unit increments: bump the slots directly, skipping Counter.add's
-        # sign check on the per-request path.
-        counters[0].value += 1
-        counters[1].value += 1
-        return request
-
     def enqueue_batch(
         self, specs: List[Tuple[RequestKind, int, int, str, int]]
     ) -> List[Request]:
@@ -371,16 +346,11 @@ class MemoryController:
         calls made one by one — producers that expand one event into
         several requests (the secure engine's metadata expansion) buffer
         their emissions and flush through here to amortise the per-call
-        binding without perturbing arbitration order.
+        binding without perturbing arbitration order. Each request's
+        ``completion`` is set by :meth:`process`.
         """
-        if not self._pow2_decode:
-            enqueue = self.enqueue
-            return [
-                enqueue(kind, line, arrival, category, core)
-                for kind, line, arrival, category, core in specs
-            ]
         count = len(specs)
-        if count >= _BATCH_DECODE_MIN:
+        if count >= _BATCH_DECODE_MIN or not self._pow2_decode:
             return self._enqueue_batch_columnar(specs, count)
         total_mask = self._dec_total_mask
         channel_mask = self._dec_channel_mask
@@ -444,21 +414,41 @@ class MemoryController:
         bit-identical); the remaining per-request loop only materialises
         the Request objects and routes them. Roughly 4x cheaper per spec
         than the scalar decode at epoch-flush batch sizes.
+
+        Geometries that are not all powers of two decode through
+        ``AddressMapper.decode_fast`` (div/mod) into the same columns.
         """
-        lines = np.fromiter(
-            (spec[1] for spec in specs), dtype=np.int64, count=count
-        )
-        masked = lines & self._dec_total_mask
-        rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
-        bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
-        row = (masked >> self._dec_row_shift) & self._dec_row_mask
-        flat = rank * self._banks_per_rank + bank
-        channel_col = (masked & self._dec_channel_mask).tolist()
-        rank_col = rank.tolist()
-        bank_col = bank.tolist()
-        row_col = row.tolist()
-        flat_col = flat.tolist()
-        row_key_col = ((flat << 40) | row).tolist()
+        if not count:
+            return []
+        if self._pow2_decode:
+            lines = np.fromiter(
+                (spec[1] for spec in specs), dtype=np.int64, count=count
+            )
+            masked = lines & self._dec_total_mask
+            rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
+            bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
+            row = (masked >> self._dec_row_shift) & self._dec_row_mask
+            flat = rank * self._banks_per_rank + bank
+            channel_col = (masked & self._dec_channel_mask).tolist()
+            rank_col = rank.tolist()
+            bank_col = bank.tolist()
+            row_col = row.tolist()
+            flat_col = flat.tolist()
+            row_key_col = ((flat << 40) | row).tolist()
+        else:
+            decode = self.mapper.decode_fast
+            channel_col, rank_col, bank_col, row_col, _columns = zip(
+                *[decode(spec[1]) for spec in specs]
+            )
+            banks_per_rank = self._banks_per_rank
+            flat_col = [
+                rank_v * banks_per_rank + bank_v
+                for rank_v, bank_v in zip(rank_col, bank_col)
+            ]
+            row_key_col = [
+                (flat_bank << 40) | row_v
+                for flat_bank, row_v in zip(flat_col, row_col)
+            ]
         queues = self._queues
         incoming_appends = [q.incoming.append for q in queues]
         write = _WRITE
@@ -528,41 +518,74 @@ class MemoryController:
 
     def process(self) -> None:
         """Schedule every enqueued request, assigning completions."""
+        bus_cycles = 0
         for channel_index in range(self.config.channels):
-            self._process_channel(channel_index)
+            bus_cycles += self._process_channel(channel_index)
+        self._c_data_bus_cycles.value += bus_cycles
         if self._sanitizer is not None:
             # Epoch boundary: the row-hit index must agree with a fresh
             # scan of the (now drained) queues and the open-row tables
             # must mirror bank state.
             self._sanitizer.check_scheduler_index(self)
 
-    def _process_channel(self, channel_index: int) -> None:
+    def _process_channel(self, channel_index: int) -> int:
+        """Schedule one channel's backlog; returns its data-bus cycles.
+
+        Each iteration is one fused decision step: admit arrivals, pick
+        the pool and the request, plan its timing (bank-ready clamp,
+        refresh blackout, tRRD/tFAW, latency class, bus turnaround) and
+        commit it (row hit/miss accounting, activate history, bank ready
+        time, bus occupancy). The channel's bus state lives in locals for
+        the whole epoch and is written back at exit — and before every
+        sanitizer commit check, which reads it.
+        """
         queues = self._queues[channel_index]
         incoming = queues.incoming
         reads = queues.reads
         writes = queues.writes
         if not incoming and not reads and not writes:
-            return  # idle channel: skip the prologue entirely
+            return 0  # idle channel: skip the prologue entirely
         channel = self.channels[channel_index]
         scheduler = self.schedulers[channel_index]
         read_index = queues.read_index
         write_index = queues.write_index
         open_rows = channel.open_rows
         banks = channel.banks
-        plan_fn = channel.plan
+        recent_activates = channel._recent_activates
         lat_hit_read = self._lat_hit_read
         lat_hit_write = self._lat_hit_write
+        lat_closed_read = self._lat_closed_read
+        lat_closed_write = self._lat_closed_write
         lat_miss_read = self._lat_miss_read
         lat_miss_write = self._lat_miss_write
+        (
+            ready_delta_read,
+            ready_delta_write,
+            t_refi,
+            t_rfc,
+            t_rrd,
+            t_faw,
+            t_wtr,
+            t_rtw,
+            t_burst,
+            model_refresh,
+            model_faw,
+        ) = self._plan_constants
         select_pool = self._select_pool
         scan = self._scan
         depth_acc = self._depth_acc
         read_lat_acc = self._read_lat_acc
         write_lat_acc = self._write_lat_acc
-        bus_counter = self._c_data_bus_cycles
         sanitizer = self._sanitizer
         window = self.WINDOW
         drain_high = scheduler.drain_high
+        closed_banks = channel.closed_banks
+        bus_free_at = channel.bus_free_at
+        last_was_write = channel.last_was_write
+        last_start = queues.last_command_start
+        # Every queued request is scheduled before this call returns, each
+        # holding the data bus for exactly one burst.
+        bus_cycles = (len(incoming) + len(reads) + len(writes)) * t_burst
 
         # One near-linear Timsort per epoch replaces a heap pop per request
         # (producers emit almost-sorted arrivals; (arrival, seq) is unique).
@@ -600,7 +623,7 @@ class MemoryController:
                     index.hits += 1
                 horizon = entry[0]
             else:
-                horizon = queues.last_command_start + 1
+                horizon = last_start + 1
             # Admit everything that has arrived by the current horizon.
             while cursor < backlog and incoming[cursor][0] <= horizon:
                 request = incoming[cursor][2]
@@ -633,18 +656,11 @@ class MemoryController:
             # row census splitting the dominant steady state into an
             # all-miss scan and a two-way hit/miss scan.
             head = pool[0]
-            is_write_pool = head.is_write
             if pool_len == 1:
                 chosen = head
                 pool_index = 0
-                earliest = head.arrival
-                if horizon > earliest:
-                    earliest = horizon
-                plan = plan_fn(
-                    head.rank, head.bank, head.row, is_write_pool, earliest
-                )
-            elif channel.closed_banks == 0:
-                if is_write_pool:
+            elif closed_banks == 0:
+                if head.is_write:
                     lat_hit = lat_hit_write
                     lat_miss = lat_miss_write
                     index = write_index
@@ -706,28 +722,81 @@ class MemoryController:
                             if estimate <= floor:
                                 break
                         position += 1
-                earliest = chosen.arrival
-                if horizon > earliest:
-                    earliest = horizon
-                plan = plan_fn(
-                    chosen.rank, chosen.bank, chosen.row, is_write_pool, earliest
-                )
             else:
                 # Warm-up (some banks still closed): three-way latency
                 # classes — take the general scan.
-                chosen, plan, pool_index = scan(
+                chosen, pool_index = scan(
                     channel, pool,
                     write_index if pool is writes else read_index,
                     horizon,
                 )
-            # Late arrivals before the chosen command start could alter the
-            # decision; admit them and re-choose once. The rescan is
-            # skipped when it provably cannot differ: same pool object and
-            # either the candidate window was already full (appends land
-            # beyond it) or nothing was admitted into this pool.
-            if cursor < backlog and incoming[cursor][0] <= plan[0]:
-                until = plan[0]
-                while cursor < backlog and incoming[cursor][0] <= until:
+
+            # Plan the chosen request; runs a second time only when late
+            # arrivals re-choose (below).
+            rechosen = False
+            while True:
+                fb = chosen.flat_bank
+                bank = banks[fb]
+                row = chosen.row
+                is_write = chosen.is_write
+                start = chosen.arrival
+                if horizon > start:
+                    start = horizon
+                ready = bank.ready_at
+                if ready > start:
+                    start = ready
+                if model_refresh:
+                    # Push the start out of the periodic refresh blackout
+                    # (modelled channel-wide: tRFC every tREFI).
+                    phase = start % t_refi
+                    if phase < t_rfc:
+                        start += t_rfc - phase
+                old_row = open_rows[fb]
+                if old_row == row:
+                    data_start = start + (lat_hit_write if is_write else lat_hit_read)
+                else:
+                    if model_faw:
+                        # An activate waits tRRD after the rank's last ACT
+                        # and tFAW after its fourth-last.
+                        history = recent_activates[chosen.rank]
+                        if history:
+                            after_rrd = history[-1] + t_rrd
+                            if after_rrd > start:
+                                start = after_rrd
+                            if len(history) >= 4:
+                                after_faw = history[-4] + t_faw
+                                if after_faw > start:
+                                    start = after_faw
+                    if old_row < 0:
+                        data_start = start + (
+                            lat_closed_write if is_write else lat_closed_read
+                        )
+                    else:
+                        data_start = start + (
+                            lat_miss_write if is_write else lat_miss_read
+                        )
+                # Bus turnaround: read->write pays tRTW, write->read tWTR.
+                if is_write:
+                    earliest_bus = (
+                        bus_free_at if last_was_write else bus_free_at + t_rtw
+                    )
+                elif last_was_write:
+                    earliest_bus = bus_free_at + t_wtr
+                else:
+                    earliest_bus = bus_free_at
+                if data_start < earliest_bus:
+                    start += earliest_bus - data_start
+                    data_start = earliest_bus
+                if rechosen or cursor >= backlog or incoming[cursor][0] > start:
+                    break
+                # Late arrivals before the chosen command start could alter
+                # the decision; admit them and re-choose once. The rescan
+                # is skipped when it provably cannot differ: same pool
+                # object and either the candidate window was already full
+                # (appends land beyond it) or nothing was admitted into
+                # this pool. The pool selection itself always reruns: its
+                # drain-burst accounting is part of the decision.
+                while cursor < backlog and incoming[cursor][0] <= start:
                     request = incoming[cursor][2]
                     cursor += 1
                     if request.is_write:
@@ -746,32 +815,55 @@ class MemoryController:
                     pool2 = reads
                 else:
                     pool2 = select_pool(scheduler, reads, writes)
-                if pool2 is not pool or (
-                    pool_len < window and len(pool2) != pool_len
+                if pool2 is pool and (
+                    pool_len >= window or len(pool2) == pool_len
                 ):
-                    pool = pool2
-                    chosen, plan, pool_index = scan(
-                        channel, pool,
-                        write_index if pool is writes else read_index,
-                        horizon,
-                    )
+                    break
+                pool = pool2
+                chosen, pool_index = scan(
+                    channel, pool,
+                    write_index if pool is writes else read_index,
+                    horizon,
+                )
+                rechosen = True
+            completion = data_start + t_burst
 
             depth = len(reads) + len(writes)
             try:
                 depth_acc[depth] += 1
             except KeyError:
                 depth_acc[depth] = 1
-            fb = chosen.flat_bank
-            old_row = open_rows[fb]
-            new_row = chosen.row
-            channel.commit(chosen.rank, chosen.bank, new_row, chosen.is_write, plan)
-            if old_row != new_row:
+            if sanitizer is not None:
+                channel.bus_free_at = bus_free_at
+                channel.last_was_write = last_was_write
+                sanitizer.check_dram_commit(
+                    channel, chosen.rank, chosen.bank, row, is_write,
+                    (start, data_start, completion),
+                )
+            # Commit: row-buffer accounting, activate history, bank ready
+            # time and bus occupancy.
+            if old_row == row:
+                bank.row_hits += 1
+            else:
+                if model_faw:
+                    # ``history`` is this rank's list, bound by the plan.
+                    history.append(start)
+                    if len(history) > 8:
+                        del history[:-8]
+                # One activation per row miss; the telemetry counter is
+                # synced from ``row_misses`` at snapshot time.
+                bank.row_misses += 1
+                if old_row < 0:
+                    closed_banks -= 1
+                    channel.closed_banks = closed_banks
+                bank.open_row = row
+                open_rows[fb] = row
                 # The bank's open row moved: re-base both pools' hit
                 # tallies — requests on the new row become hits, requests
                 # on the old row (none existed while it was closed) stop
                 # being hits.
                 base = fb << 40
-                key_new = base | new_row
+                key_new = base | row
                 for index in (read_index, write_index):
                     row_counts = index.row_counts
                     delta = row_counts.get(key_new, 0)
@@ -779,10 +871,19 @@ class MemoryController:
                         delta -= row_counts.get(base | old_row, 0)
                     if delta:
                         index.hits += delta
-            chosen.completion = plan[2]
-            queues.last_command_start = plan[0]
-            index = write_index if pool is writes else read_index
-            row_counts = index.row_counts
+            bank.ready_at = start + (
+                ready_delta_write if is_write else ready_delta_read
+            )
+            bus_free_at = completion
+            last_was_write = is_write
+            chosen.completion = completion
+            last_start = start
+            if is_write:
+                index = write_index
+                row_counts = write_counts
+            else:
+                index = read_index
+                row_counts = read_counts
             key = chosen.row_key
             count = row_counts[key] - 1
             if count:
@@ -799,14 +900,12 @@ class MemoryController:
             # Latency accounting: tally value -> weight; record_telemetry
             # flushes into both the stats and registry histograms (integer
             # weights, so batching is bit-exact).
-            completion = plan[2]
             latency = completion - chosen.arrival
-            acc = write_lat_acc if chosen.is_write else read_lat_acc
+            acc = write_lat_acc if is_write else read_lat_acc
             try:
                 acc[latency] += 1
             except KeyError:
                 acc[latency] = 1
-            bus_counter.value += completion - plan[1]
             if sanitizer is not None:
                 # Sampled mid-stream consistency check (every 64 decisions)
                 # so maintenance bugs surface near the offending commit.
@@ -814,6 +913,10 @@ class MemoryController:
                 if tick == 0:
                     sanitizer.check_scheduler_index(self)
         del incoming[:]
+        channel.bus_free_at = bus_free_at
+        channel.last_was_write = last_was_write
+        queues.last_command_start = last_start
+        return bus_cycles
 
     #: Scheduler candidate window: only the oldest WINDOW queued requests
     #: are considered per decision (real FR-FCFS pickers have bounded
@@ -854,11 +957,12 @@ class MemoryController:
     def _scan(self, channel, pool, index, horizon):
         """Pick the pool request with the earliest achievable data start.
 
-        Returns ``(request, plan, pool_index)``. The estimate is computed
-        from bank state alone (the data-bus shift is common to all
-        candidates); the full plan is computed once, for the winner.
+        Returns ``(request, pool_index)``; the caller plans the winner.
+        The estimate is computed from bank state alone (the data-bus shift
+        is common to all candidates).
 
-        Fast paths, each provably equal to the windowed reference scan:
+        Fast paths, each provably equal to the plain windowed scan
+        (``ReferenceController`` in ``tests/oracles.py``):
 
         * **head**: no row hit in the pool (``index.hits == 0``) and no
           closed bank on the channel means every candidate is a row miss
@@ -881,28 +985,15 @@ class MemoryController:
         """
         banks = channel.banks
         head = pool[0]
-        is_write_pool = head.is_write
-        if len(pool) == 1:
-            # Single candidate: no scan, straight to the plan.
-            earliest = head.arrival
-            if horizon > earliest:
-                earliest = horizon
-            plan = channel.plan(
-                head.rank, head.bank, head.row, is_write_pool, earliest
-            )
-            return head, plan, 0
-        if (
+        if len(pool) == 1 or (
             index.hits == 0
             and channel.closed_banks == 0
             and head.arrival <= horizon
             and banks[head.flat_bank].ready_at <= horizon
         ):
-            plan = channel.plan(
-                head.rank, head.bank, head.row, is_write_pool, horizon
-            )
-            return head, plan, 0
+            return head, 0
         window = self.WINDOW
-        if is_write_pool:
+        if head.is_write:
             lat_hit = self._lat_hit_write
             lat_closed = self._lat_closed_write
             lat_miss = self._lat_miss_write
@@ -969,11 +1060,7 @@ class MemoryController:
                         break
                     prune = estimate - lat_hit
                 position += 1
-        earliest = best.arrival
-        if horizon > earliest:
-            earliest = horizon
-        plan = channel.plan(best.rank, best.bank, best.row, is_write_pool, earliest)
-        return best, plan, best_index
+        return best, best_index
 
     # ------------------------------------------------------------------
 

@@ -7,7 +7,8 @@ dependence), so per-op timings are comparable across runs and across code
 versions:
 
 * ``cache_access``      — :class:`SetAssociativeCache` lookup/allocate
-* ``controller_schedule`` — enqueue + FR-FCFS scheduling to completion
+* ``controller_schedule`` — per-epoch ``enqueue_batch`` + ``process``
+  rounds through the FR-FCFS controller
 * ``scheduler_choose_indexed`` — the indexed FR-FCFS chooser in isolation
   (``BankIndexedPool`` add/choose/remove churn, no DRAM timing)
 * ``rob_advance``       — trace-driven core fetch/retire with resolved reads
@@ -69,22 +70,36 @@ def cache_access() -> int:
     return len(stream)
 
 
+#: Requests per ``enqueue_batch`` + ``process`` round in
+#: ``controller_schedule``: about the DRAM requests one simulator epoch
+#: hands the controller on the default cells.
+_SCHEDULE_EPOCH = 64
+
+
 def controller_schedule() -> int:
-    """Enqueue a request stream and schedule it to completion."""
+    """Schedule a request stream the way the simulator drives it.
+
+    Each round enqueues one epoch-sized batch through ``enqueue_batch``
+    and schedules it with ``process``, so the case times the real call
+    pattern: per-epoch batch decode, the epoch sort, and the fused
+    decision step, with queues carried over between rounds.
+    """
     from repro.dram.controller import MemoryController, RequestKind
     from repro.dram.timing import MemoryConfig
 
     controller = MemoryController(MemoryConfig())
     stream = _addresses(20_000, 1 << 22, seed=29)
-    enqueue = controller.enqueue
     read = RequestKind.READ
     write = RequestKind.WRITE
-    arrival = 0
-    for index, line in enumerate(stream):
-        kind = write if index % 3 == 0 else read
-        enqueue(kind, line, arrival)
-        arrival += 2
-    controller.process()
+    specs = [
+        (write if index % 3 == 0 else read, line, 2 * index, "data", 0)
+        for index, line in enumerate(stream)
+    ]
+    enqueue_batch = controller.enqueue_batch
+    process = controller.process
+    for first in range(0, len(specs), _SCHEDULE_EPOCH):
+        enqueue_batch(specs[first : first + _SCHEDULE_EPOCH])
+        process()
     return len(stream)
 
 

@@ -6,7 +6,14 @@ with the tests, not in ``src/repro``, because nothing at run time uses them:
 
 * :class:`ScalarTimingEngine` — the secure engine's metadata walk, one
   ``CacheHierarchy.access_metadata`` call per probe and one
-  ``MemoryController.enqueue`` per request;
+  :func:`enqueue` per request;
+* :class:`ReferenceBank` / :class:`ReferenceChannel` — per-access DRAM
+  timing as methods (``classify``/``access_latency``/``begin_access`` on
+  the bank, ``plan``/``commit`` on the channel): the arithmetic the
+  controller's fused decision step inlines;
+* :class:`ReferenceController` — FR-FCFS over those channels by plain
+  windowed scan, with an unconditional rescan after late arrivals: the
+  schedule ``MemoryController.process`` must reproduce;
 * :func:`reference_choose` — the O(queue) FR-FCFS scan behind
   ``FrFcfsScheduler.choose_indexed``;
 * :func:`generate_trace_reference` — the per-record trace-synthesis loop
@@ -14,11 +21,15 @@ with the tests, not in ``src/repro``, because nothing at run time uses them:
 """
 
 from collections import deque
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from repro.analysis.sanitizer import get_sanitizer
 from repro.cpu.trace import MemoryOp, Trace, TraceRecord
-from repro.dram.controller import Request, RequestKind
+from repro.dram.bank import BankState
+from repro.dram.channel import ChannelState
+from repro.dram.controller import MemoryController, Request, RequestKind
 from repro.dram.scheduler import FrFcfsScheduler
+from repro.dram.timing import DramTiming, MemoryConfig
 from repro.secure.designs import MacLocation, TreeKind
 from repro.secure.timing_engine import SecureTimingEngine
 from repro.util.rng import DeterministicRng, derive_seed
@@ -34,6 +45,311 @@ from repro.workloads.profiles import WorkloadProfile
 
 _READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
+
+
+def enqueue(
+    controller: MemoryController,
+    kind: RequestKind,
+    line_address: int,
+    arrival: int,
+    category: str = "data",
+    core: int = 0,
+) -> Request:
+    """Enqueue one request; its ``completion`` is set by ``process``.
+
+    The per-call form of ``MemoryController.enqueue_batch`` (a one-spec
+    batch, so sequence numbering is the batch path's).
+    """
+    return controller.enqueue_batch([(kind, line_address, arrival, category, core)])[0]
+
+
+class ReferenceBank(BankState):
+    """One bank with its per-access timing stated as methods."""
+
+    __slots__ = (
+        "_lat_hit_read",
+        "_lat_hit_write",
+        "_lat_closed_read",
+        "_lat_closed_write",
+        "_lat_miss_read",
+        "_lat_miss_write",
+        "_ready_delta_read",
+        "_ready_delta_write",
+    )
+
+    def __init__(self, timing: DramTiming):
+        super().__init__()
+        # Latency table: classification x direction.
+        self._lat_hit_read = timing.t_cl
+        self._lat_hit_write = timing.t_cwl
+        self._lat_closed_read = timing.t_rcd + timing.t_cl
+        self._lat_closed_write = timing.t_rcd + timing.t_cwl
+        self._lat_miss_read = timing.t_rp + timing.t_rcd + timing.t_cl
+        self._lat_miss_write = timing.t_rp + timing.t_rcd + timing.t_cwl
+        # After an access the bank is ready again at start + tCCD (+ tWR
+        # write recovery) — the row is open by then, so the column latency
+        # cancels out of the original formulation.
+        self._ready_delta_read = timing.t_ccd
+        self._ready_delta_write = timing.t_ccd + timing.t_wr
+
+    def classify(self, row: int) -> str:
+        """'hit', 'miss' (conflict), or 'closed'."""
+        if self.open_row is None:
+            return "closed"
+        return "hit" if self.open_row == row else "miss"
+
+    def access_latency(self, row: int, is_write: bool) -> int:
+        """Command-start to first-data-beat latency for accessing ``row``."""
+        open_row = self.open_row
+        if open_row is None:
+            return self._lat_closed_write if is_write else self._lat_closed_read
+        if open_row == row:
+            return self._lat_hit_write if is_write else self._lat_hit_read
+        return self._lat_miss_write if is_write else self._lat_miss_read
+
+    def begin_access(self, row: int, start: int, is_write: bool) -> Optional[int]:
+        """Commit an access starting at ``start``; updates row + ready time.
+
+        Returns the row that was open *before* this access (``None`` for a
+        closed bank).
+        """
+        open_row = self.open_row
+        if open_row == row:
+            self.row_hits += 1
+        else:
+            self.row_misses += 1
+            self.open_row = row
+        self.ready_at = start + (
+            self._ready_delta_write if is_write else self._ready_delta_read
+        )
+        return open_row
+
+    def earliest_start(self, now: int) -> int:
+        """Earliest cycle a new command to this bank may start."""
+        ready = self.ready_at
+        return ready if ready > now else now
+
+
+class ReferenceChannel(ChannelState):
+    """One channel whose timing is planned and committed per request.
+
+    ``plan`` computes the earliest (command_start, data_start, completion)
+    for a request without touching bank or bus state (only the refresh
+    stall accounting moves); ``commit`` applies it. Under the sanitizer
+    every commit is checked against the pre-mutation state.
+    """
+
+    __slots__ = (
+        "_model_refresh",
+        "_model_faw",
+        "_t_refi",
+        "_t_rfc",
+        "_t_rrd",
+        "_t_faw",
+        "_t_wtr",
+        "_t_rtw",
+        "_t_burst",
+        "_sanitizer",
+        "refresh_stall_cycles",
+        "activate_waits",
+    )
+
+    def __init__(self, config: MemoryConfig):
+        super().__init__(config)
+        self.banks = [
+            ReferenceBank(config.timing) for _ in range(config.banks_per_channel)
+        ]
+        timing = config.timing
+        self._model_refresh = config.model_refresh
+        self._model_faw = config.model_faw
+        self._t_refi = timing.t_refi
+        self._t_rfc = timing.t_rfc
+        self._t_rrd = timing.t_rrd
+        self._t_faw = timing.t_faw
+        self._t_wtr = timing.t_wtr
+        self._t_rtw = timing.t_rtw
+        self._t_burst = timing.t_burst
+        self._sanitizer = get_sanitizer()
+        #: cycles plans were pushed out of refresh blackouts (per plan)
+        self.refresh_stall_cycles = 0
+        #: plans whose activate tRRD/tFAW delayed
+        self.activate_waits = 0
+
+    # -- refresh ------------------------------------------------------------
+
+    def _after_refresh(self, start: int) -> int:
+        """Push ``start`` out of any periodic refresh blackout window.
+
+        All banks of a rank are unavailable for tRFC every tREFI; we model
+        the blackout as channel-wide (ranks refresh staggered in reality —
+        a second-order detail).
+        """
+        if not self._model_refresh:
+            return start
+        phase = start % self._t_refi
+        if phase < self._t_rfc:
+            shifted = start + (self._t_rfc - phase)
+            self.refresh_stall_cycles += shifted - start
+            return shifted
+        return start
+
+    # -- activation window ----------------------------------------------------
+
+    def _after_faw(self, rank: int, start: int, will_activate: bool) -> int:
+        """Respect tFAW (max 4 ACTs per rolling window) and tRRD."""
+        if not self._model_faw or not will_activate:
+            return start
+        history = self._recent_activates[rank]
+        if history:
+            after_rrd = history[-1] + self._t_rrd
+            if after_rrd > start:
+                start = after_rrd
+            if len(history) >= 4:
+                after_faw = history[-4] + self._t_faw
+                if after_faw > start:
+                    start = after_faw
+        return start
+
+    def plan(
+        self, rank: int, bank: int, row: int, is_write: bool, now: int
+    ) -> Tuple[int, int, int]:
+        """Earliest (command_start, data_start, completion) for a request.
+
+        Bank-ready clamp, refresh blackout, tFAW/tRRD, latency class, bus
+        turnaround — in that order.
+        """
+        bank_state = self.banks[self.flat_bank(rank, bank)]
+        start = bank_state.earliest_start(now)
+        start = self._after_refresh(start)
+        unconstrained = start
+        start = self._after_faw(rank, start, bank_state.open_row != row)
+        if start != unconstrained:
+            self.activate_waits += 1
+        data_start = start + bank_state.access_latency(row, is_write)
+        if is_write:
+            turnaround = 0 if self.last_was_write else self._t_rtw
+        else:
+            turnaround = self._t_wtr if self.last_was_write else 0
+        earliest_bus = self.bus_free_at + turnaround
+        if data_start < earliest_bus:
+            shift = earliest_bus - data_start
+            start += shift
+            data_start += shift
+        completion = data_start + self._t_burst
+        return start, data_start, completion
+
+    def commit(
+        self, rank: int, bank: int, row: int, is_write: bool, plan: Tuple[int, int, int]
+    ) -> None:
+        """Apply a previously planned access to bank and bus state."""
+        if self._sanitizer is not None:
+            self._sanitizer.check_dram_commit(self, rank, bank, row, is_write, plan)
+        start, _data_start, completion = plan
+        flat = self.flat_bank(rank, bank)
+        previous = self.banks[flat].begin_access(row, start, is_write)
+        if previous != row:
+            if self._model_faw:
+                history = self._recent_activates[rank]
+                history.append(start)
+                if len(history) > 8:
+                    del history[:-8]
+            if previous is None:
+                self.closed_banks -= 1
+            self.open_rows[flat] = row
+        self.bus_free_at = completion
+        self.last_was_write = is_write
+
+    def is_row_hit(self, rank: int, bank: int, row: int) -> bool:
+        """Does ``row`` currently sit in the bank's row buffer?"""
+        return self.banks[self.flat_bank(rank, bank)].open_row == row
+
+
+class ReferenceController(MemoryController):
+    """FR-FCFS over :class:`ReferenceChannel`, decided by plain scan.
+
+    Enqueue, accounting and telemetry are the shipped controller's; only
+    ``process`` differs. Per decision: admit every arrival up to the
+    horizon (the next arrival when idle, else one cycle past the last
+    command start), pick the pool with ``update_drain_mode``, scan the
+    oldest ``WINDOW`` requests for the smallest estimate
+    ``max(arrival, horizon, ready_at) + access_latency`` (first scanned
+    wins ties), plan it, and — when requests arrived before its start —
+    admit them, pick the pool again and rescan, unconditionally. The
+    pools' row census is not maintained.
+    """
+
+    def __init__(self, config: MemoryConfig):
+        super().__init__(config)
+        self.channels = [ReferenceChannel(config) for _ in range(config.channels)]
+        self.rescans = 0  #: decisions re-chosen after late arrivals
+
+    def process(self) -> None:
+        for queues, channel, scheduler in zip(
+            self._queues, self.channels, self.schedulers
+        ):
+            self._schedule(queues, channel, scheduler)
+
+    @staticmethod
+    def _pool(scheduler, reads, writes):
+        scheduler.update_drain_mode(len(writes), len(reads))
+        pool = writes if (scheduler.draining and writes) else reads
+        return pool if pool else (writes or reads)
+
+    def _choose(self, channel, pool, horizon):
+        best, best_estimate = None, None
+        for request in list(pool)[: self.WINDOW]:
+            bank = channel.banks[request.flat_bank]
+            estimate = bank.earliest_start(
+                max(request.arrival, horizon)
+            ) + bank.access_latency(request.row, request.is_write)
+            if best is None or estimate < best_estimate:
+                best, best_estimate = request, estimate
+        return best
+
+    def _schedule(self, queues, channel, scheduler) -> None:
+        pending = deque(sorted(queues.incoming))
+        del queues.incoming[:]
+        reads, writes = queues.reads, queues.writes
+
+        def admit(until):
+            while pending and pending[0][0] <= until:
+                request = pending.popleft()[2]
+                (writes if request.is_write else reads).append(request)
+
+        while pending or reads or writes:
+            if reads or writes:
+                horizon = queues.last_command_start + 1
+            else:
+                horizon = pending[0][0]
+            admit(horizon)
+            pool = self._pool(scheduler, reads, writes)
+            chosen = self._choose(channel, pool, horizon)
+            plan = channel.plan(
+                chosen.rank, chosen.bank, chosen.row, chosen.is_write,
+                max(chosen.arrival, horizon),
+            )
+            if pending and pending[0][0] <= plan[0]:
+                self.rescans += 1
+                admit(plan[0])
+                pool = self._pool(scheduler, reads, writes)
+                chosen = self._choose(channel, pool, horizon)
+                plan = channel.plan(
+                    chosen.rank, chosen.bank, chosen.row, chosen.is_write,
+                    max(chosen.arrival, horizon),
+                )
+            depth = len(reads) + len(writes)
+            self._depth_acc[depth] = self._depth_acc.get(depth, 0) + 1
+            channel.commit(
+                chosen.rank, chosen.bank, chosen.row, chosen.is_write, plan
+            )
+            start, data_start, completion = plan
+            chosen.completion = completion
+            queues.last_command_start = start
+            pool.remove(chosen)
+            acc = self._write_lat_acc if chosen.is_write else self._read_lat_acc
+            latency = completion - chosen.arrival
+            acc[latency] = acc.get(latency, 0) + 1
+            self._c_data_bus_cycles.value += completion - data_start
 
 
 class ScalarTimingEngine(SecureTimingEngine):
@@ -69,9 +385,7 @@ class ScalarTimingEngine(SecureTimingEngine):
             self._n_metadata_accesses += 1
         if gating:
             self._gating.append(len(self._epoch))
-        self._epoch.append(
-            self.controller.enqueue(kind, line, when, category, core)
-        )
+        self._epoch.append(enqueue(self.controller, kind, line, when, category, core))
 
     def flush_epoch(self) -> List[Request]:
         requests, self._epoch = self._epoch, []

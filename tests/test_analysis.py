@@ -17,6 +17,7 @@ from repro.analysis import (
 )
 from repro.analysis.linter import violations_to_baseline, write_baseline
 from repro.analysis.sanitizer import (
+    Sanitizer,
     SanitizerError,
     get_sanitizer,
     sanitized,
@@ -27,12 +28,14 @@ from repro.core.cacheline_codec import (
     encode_data_line,
 )
 from repro.core.reconstruction import ReconstructionEngine
-from repro.dram.channel import ChannelState
+from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import MemoryConfig
 from repro.secure.counter_tree import CounterTree
 from repro.secure.counters import COUNTERS_PER_LINE
 from repro.secure.mac import LineMacCalculator
 from repro.secure.metadata_layout import MetadataLayout
+
+from oracles import ReferenceChannel, enqueue
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -250,11 +253,11 @@ class TestSanitizerPlumbing:
 
     def test_components_bind_at_init(self):
         with sanitized(False):
-            channel = ChannelState(MemoryConfig())
-        assert channel._sanitizer is None
+            controller = MemoryController(MemoryConfig())
+        assert controller._sanitizer is None
         with sanitized():
-            channel = ChannelState(MemoryConfig())
-        assert channel._sanitizer is not None
+            controller = MemoryController(MemoryConfig())
+        assert controller._sanitizer is not None
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +265,96 @@ class TestSanitizerPlumbing:
 
 
 class TestDramSanitizer:
+    """``check_dram_commit`` against plans from the reference channel.
+
+    The channel is built with the sanitizer off, so only the explicit
+    calls below check; each runs before the commit it validates, as the
+    controller's hook does.
+    """
+
+    @staticmethod
+    def _channel():
+        with sanitized(False):
+            return ReferenceChannel(MemoryConfig())
+
     def test_legal_sequence_passes_and_counts(self):
-        with sanitized() as sanitizer:
-            channel = ChannelState(MemoryConfig())
-            now = 0
-            for row in (5, 5, 9):
-                plan = channel.plan(0, 0, row, False, now)
-                channel.commit(0, 0, row, False, plan)
-                now = plan[2]
-        assert sanitizer.checks >= 3
+        sanitizer = Sanitizer()
+        channel = self._channel()
+        now = 0
+        for row in (5, 5, 9):
+            plan = channel.plan(0, 0, row, False, now)
+            sanitizer.check_dram_commit(channel, 0, 0, row, False, plan)
+            channel.commit(0, 0, row, False, plan)
+            now = plan[2]
+        assert sanitizer.checks == 3
         assert sanitizer.last_check == "dram_commit"
 
     def test_illegal_transition_is_caught(self):
-        with sanitized():
-            channel = ChannelState(MemoryConfig())
-            plan = channel.plan(0, 0, 5, False, 0)
-            channel.commit(0, 0, 5, False, plan)
-            # Replaying the same plan starts the next command before the
-            # bank's ready_at (tCCD) — an illegal timing transition.
-            with pytest.raises(SanitizerError, match="ready_at"):
-                channel.commit(0, 0, 5, False, plan)
+        sanitizer = Sanitizer()
+        channel = self._channel()
+        plan = channel.plan(0, 0, 5, False, 0)
+        channel.commit(0, 0, 5, False, plan)
+        # Replaying the same plan starts the next command before the
+        # bank's ready_at (tCCD) — an illegal timing transition.
+        with pytest.raises(SanitizerError, match="ready_at"):
+            sanitizer.check_dram_commit(channel, 0, 0, 5, False, plan)
 
     def test_understated_latency_is_caught(self):
+        sanitizer = Sanitizer()
+        channel = self._channel()
+        start, data_start, completion = channel.plan(0, 0, 5, False, 0)
+        # Claim the data appears one cycle too early for a closed bank
+        # (violates tRCD+CL) while keeping the burst arithmetic valid.
+        with pytest.raises(SanitizerError, match="latency"):
+            sanitizer.check_dram_commit(
+                channel, 0, 0, 5, False, (start + 1, data_start, completion)
+            )
+
+    def test_understated_row_miss_latency_is_caught(self):
+        sanitizer = Sanitizer()
+        channel = self._channel()
+        plan = channel.plan(0, 0, 5, True, 0)
+        channel.commit(0, 0, 5, True, plan)
+        # A row conflict owes tRP + tRCD + tCWL; claim only the hit's tCWL.
+        timing = channel.timing
+        start = plan[0] + 100
+        data_start = start + timing.t_cwl
+        with pytest.raises(SanitizerError, match="latency"):
+            sanitizer.check_dram_commit(
+                channel, 0, 0, 9, True,
+                (start, data_start, data_start + timing.t_burst),
+            )
+
+    def test_controller_checks_every_commit(self, monkeypatch):
+        checked = []
+        original = Sanitizer.check_dram_commit
+
+        def counting(self, channel, rank, bank, row, is_write, plan):
+            checked.append(plan)
+            original(self, channel, rank, bank, row, is_write, plan)
+
+        monkeypatch.setattr(Sanitizer, "check_dram_commit", counting)
         with sanitized():
-            channel = ChannelState(MemoryConfig())
-            start, data_start, completion = channel.plan(0, 0, 5, False, 0)
-            # Claim the data appears one cycle too early for a closed bank
-            # (violates tRCD+CL) while keeping the burst arithmetic valid.
-            with pytest.raises(SanitizerError, match="latency"):
-                channel.commit(0, 0, 5, False, (start + 1, data_start, completion))
+            controller = MemoryController(MemoryConfig())
+            requests = []
+            for epoch in range(4):
+                requests += controller.enqueue_batch(
+                    [
+                        (
+                            RequestKind.WRITE if i % 3 == 0 else RequestKind.READ,
+                            (i * 7919 + epoch) % (1 << 16),
+                            epoch * 400 + i * 3,
+                            "data",
+                            0,
+                        )
+                        for i in range(100)
+                    ]
+                )
+                controller.process()
+        assert len(checked) >= len(requests)
+        assert sorted(plan[2] for plan in checked) == sorted(
+            request.completion for request in requests
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +526,12 @@ class TestCacheReplaySanitizer:
 class TestSchedulerIndexSanitizer:
     @staticmethod
     def _loaded_controller():
-        from repro.dram.controller import MemoryController, RequestKind
-
         controller = MemoryController(MemoryConfig())
         state = 17
         for index in range(600):
             state = (state * 1103515245 + 12345) % (1 << 31)
             kind = RequestKind.WRITE if index % 3 == 0 else RequestKind.READ
-            controller.enqueue(kind, state % (1 << 22), index * 2)
+            enqueue(controller, kind, state % (1 << 22), index * 2)
         return controller
 
     def test_consistent_index_passes(self):

@@ -1,4 +1,10 @@
-"""DRAM timing model tests: address mapping, banks, channels, controller."""
+"""DRAM timing model tests: address mapping, banks, channels, controller.
+
+``TestBankState``/``TestChannelState`` pin the per-access reference
+(``ReferenceBank``/``ReferenceChannel`` in ``tests/oracles.py``) that the
+controller's fused decision step inlines; the controller tests drive the
+shipped ``enqueue_batch`` + ``process`` path.
+"""
 
 import random
 
@@ -7,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import BankState
-from repro.dram.channel import ChannelState
 from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.power import DramEnergyParams, dram_energy
 from repro.dram.timing import DramTiming, MemoryConfig
+
+from oracles import ReferenceBank, ReferenceChannel, enqueue
 
 
 class TestTiming:
@@ -58,7 +64,7 @@ class TestAddressMapper:
 
 class TestBankState:
     def test_closed_then_hit(self):
-        bank = BankState(DramTiming())
+        bank = ReferenceBank(DramTiming())
         assert bank.classify(5) == "closed"
         bank.begin_access(5, 0, is_write=False)
         assert bank.classify(5) == "hit"
@@ -66,14 +72,14 @@ class TestBankState:
 
     def test_latencies(self):
         timing = DramTiming()
-        bank = BankState(timing)
+        bank = ReferenceBank(timing)
         assert bank.access_latency(5, False) == timing.row_closed_read
         bank.begin_access(5, 0, False)
         assert bank.access_latency(5, False) == timing.t_cl
         assert bank.access_latency(6, False) == timing.row_miss_read
 
     def test_hit_miss_counters(self):
-        bank = BankState(DramTiming())
+        bank = ReferenceBank(DramTiming())
         bank.begin_access(5, 0, False)
         bank.begin_access(5, 10, False)
         bank.begin_access(6, 20, False)
@@ -81,7 +87,7 @@ class TestBankState:
         assert bank.row_misses == 2
 
     def test_ready_time_advances(self):
-        bank = BankState(DramTiming())
+        bank = ReferenceBank(DramTiming())
         bank.begin_access(5, 0, False)
         assert bank.ready_at > 0
         assert bank.earliest_start(0) == bank.ready_at
@@ -89,19 +95,19 @@ class TestBankState:
 
 class TestChannelState:
     def test_plan_does_not_mutate(self):
-        channel = ChannelState(MemoryConfig())
+        channel = ReferenceChannel(MemoryConfig())
         before = channel.bus_free_at
         channel.plan(0, 0, 5, False, 0)
         assert channel.bus_free_at == before
 
     def test_commit_occupies_bus(self):
-        channel = ChannelState(MemoryConfig())
+        channel = ReferenceChannel(MemoryConfig())
         plan = channel.plan(0, 0, 5, False, 0)
         channel.commit(0, 0, 5, False, plan)
         assert channel.bus_free_at == plan[2]
 
     def test_bus_serialises_back_to_back(self):
-        channel = ChannelState(MemoryConfig())
+        channel = ReferenceChannel(MemoryConfig())
         plan1 = channel.plan(0, 0, 5, False, 0)
         channel.commit(0, 0, 5, False, plan1)
         plan2 = channel.plan(0, 1, 5, False, 0)  # different bank, same time
@@ -109,7 +115,7 @@ class TestChannelState:
         assert plan2[1] >= plan1[2]
 
     def test_row_hit_rate(self):
-        channel = ChannelState(MemoryConfig())
+        channel = ReferenceChannel(MemoryConfig())
         for _ in range(3):
             plan = channel.plan(0, 0, 5, False, 0)
             channel.commit(0, 0, 5, False, plan)
@@ -125,7 +131,7 @@ class TestMemoryController:
         for _ in range(2000):
             time += rng.randrange(0, 8)
             kind = RequestKind.WRITE if rng.random() < 0.3 else RequestKind.READ
-            requests.append(controller.enqueue(kind, rng.randrange(1 << 20), time))
+            requests.append(enqueue(controller, kind, rng.randrange(1 << 20), time))
         controller.process()
         assert all(r.completion is not None for r in requests)
 
@@ -133,7 +139,7 @@ class TestMemoryController:
         controller = MemoryController(MemoryConfig())
         rng = random.Random(2)
         requests = [
-            controller.enqueue(RequestKind.READ, rng.randrange(1 << 16), t * 3)
+            enqueue(controller, RequestKind.READ, rng.randrange(1 << 16), t * 3)
             for t in range(500)
         ]
         controller.process()
@@ -142,7 +148,7 @@ class TestMemoryController:
     def test_sequential_stream_row_hits(self):
         controller = MemoryController(MemoryConfig())
         for index in range(2000):
-            controller.enqueue(RequestKind.READ, index, index * 4)
+            enqueue(controller, RequestKind.READ, index, index * 4)
         controller.process()
         assert controller.channels[0].row_hit_rate > 0.9
 
@@ -154,15 +160,15 @@ class TestMemoryController:
         count = 2000
         rng = random.Random(3)
         for t in range(count):
-            controller.enqueue(RequestKind.READ, rng.randrange(1 << 20), t)
+            enqueue(controller, RequestKind.READ, rng.randrange(1 << 20), t)
         controller.process()
         span = controller.last_completion
         assert span >= count * config.timing.t_burst * 0.9
 
     def test_traffic_categories(self):
         controller = MemoryController(MemoryConfig())
-        controller.enqueue(RequestKind.READ, 0, 0, category="mac")
-        controller.enqueue(RequestKind.WRITE, 1, 0, category="parity")
+        enqueue(controller, RequestKind.READ, 0, 0, category="mac")
+        enqueue(controller, RequestKind.WRITE, 1, 0, category="parity")
         controller.process()
         traffic = controller.traffic_by_category()
         assert traffic["mac_read"] == 1
@@ -171,7 +177,7 @@ class TestMemoryController:
     def test_writes_drain_eventually(self):
         controller = MemoryController(MemoryConfig(channels=1))
         requests = [
-            controller.enqueue(RequestKind.WRITE, i, 0) for i in range(100)
+            enqueue(controller, RequestKind.WRITE, i, 0) for i in range(100)
         ]
         controller.process()
         assert all(r.completion is not None for r in requests)
@@ -180,19 +186,35 @@ class TestMemoryController:
         config = MemoryConfig(channels=1)
         controller = MemoryController(config)
         writes = [
-            controller.enqueue(RequestKind.WRITE, 1000 + i * 64, 0)
+            enqueue(controller, RequestKind.WRITE, 1000 + i * 64, 0)
             for i in range(10)  # below drain threshold
         ]
-        read = controller.enqueue(RequestKind.READ, 0, 1)
+        read = enqueue(controller, RequestKind.READ, 0, 1)
         controller.process()
         # The read should complete before most buffered writes.
         later_writes = [w for w in writes if w.completion > read.completion]
         assert len(later_writes) >= 5
 
+    def test_bus_serialises_back_to_back(self):
+        # Two closed-bank reads on one channel, different banks, same
+        # arrival: the second transfer waits for the first to release the
+        # data bus.
+        config = MemoryConfig(model_refresh=False)
+        controller = MemoryController(config)
+        first, second = controller.enqueue_batch(
+            [(RequestKind.READ, 0, 0, "data", 0), (RequestKind.READ, 1 << 8, 0, "data", 0)]
+        )
+        controller.process()
+        timing = config.timing
+        assert first.completion == timing.row_closed_read + timing.t_burst
+        assert second.completion >= first.completion + timing.t_burst
+        stats = controller.stats
+        assert stats["data_bus_cycles"].value == 2 * timing.t_burst
+
     def test_activation_counts(self):
         controller = MemoryController(MemoryConfig())
         for index in range(100):
-            controller.enqueue(RequestKind.READ, index * 257, index * 4)
+            enqueue(controller, RequestKind.READ, index * 257, index * 4)
         controller.process()
         counts = controller.activation_counts()
         assert counts["activations"] + counts["row_hits"] == 100

@@ -16,22 +16,14 @@ Two halves (see DESIGN.md, "Analysis"):
   uniqueness, counter-tree consistency, run-cache replay fidelity, and
   the owner-context rule for SimContext-owned memos/registries),
   enabled with ``REPRO_SANITIZE=1`` / ``--sanitize`` and free when off.
+
+Only the sanitizer is imported with the package; the linter and raceguard
+names load on first access, so the simulator never imports them.
 """
 
-from repro.analysis.linter import (
-    Violation,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    new_violations,
-    violations_to_baseline,
-)
-from repro.analysis.raceguard import (
-    ConcurrencyReport,
-    analyze_paths,
-    concurrency_catalogue,
-)
-from repro.analysis.rules import ALL_RULES, rule_catalogue
+import importlib
+from typing import TYPE_CHECKING, Any, Dict
+
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -40,6 +32,48 @@ from repro.analysis.sanitizer import (
     sanitized,
     sanitizer_enabled,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.linter import (
+        Violation,
+        lint_paths,
+        lint_source,
+        load_baseline,
+        new_violations,
+        violations_to_baseline,
+    )
+    from repro.analysis.raceguard import (
+        ConcurrencyReport,
+        analyze_paths,
+        concurrency_catalogue,
+    )
+    from repro.analysis.rules import ALL_RULES, rule_catalogue
+
+#: Names served on first access: the simulator imports only the sanitizer,
+#: so the linter, its rules and raceguard stay out of its import.
+_LAZY: Dict[str, str] = {
+    "Violation": "linter",
+    "lint_paths": "linter",
+    "lint_source": "linter",
+    "load_baseline": "linter",
+    "new_violations": "linter",
+    "violations_to_baseline": "linter",
+    "ConcurrencyReport": "raceguard",
+    "analyze_paths": "raceguard",
+    "concurrency_catalogue": "raceguard",
+    "ALL_RULES": "rules",
+    "rule_catalogue": "rules",
+}
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        ) from None
+    return getattr(importlib.import_module("%s.%s" % (__name__, module)), name)
 
 __all__ = [
     "ALL_RULES",

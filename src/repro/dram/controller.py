@@ -56,8 +56,6 @@ import enum
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.analysis.sanitizer import get_sanitizer
 
 from repro.dram.address import AddressMapper
@@ -81,10 +79,6 @@ class RequestKind(enum.Enum):
 
 
 _WRITE = RequestKind.WRITE
-
-#: Batch size at which enqueue_batch switches to the columnar numpy
-#: decode; below this the fixed numpy setup cost beats the savings.
-_BATCH_DECODE_MIN = 48
 
 
 class Request:
@@ -249,6 +243,11 @@ class MemoryController:
             self._dec_rank_mask = mapper._rank_mask
             self._dec_row_shift = self._dec_rank_shift + mapper._rank_shift
             self._dec_row_mask = mapper._row_mask
+        else:  # unused: enqueue_batch decodes through decode_fast
+            self._dec_total_mask = self._dec_channel_mask = 0
+            self._dec_bank_shift = self._dec_bank_mask = 0
+            self._dec_rank_shift = self._dec_rank_mask = 0
+            self._dec_row_shift = self._dec_row_mask = 0
         self.channels = [ChannelState(config) for _ in range(config.channels)]
         self.schedulers = [
             FrFcfsScheduler(config.write_drain_high, config.write_drain_low)
@@ -349,9 +348,8 @@ class MemoryController:
         binding without perturbing arbitration order. Each request's
         ``completion`` is set by :meth:`process`.
         """
-        count = len(specs)
-        if count >= _BATCH_DECODE_MIN or not self._pow2_decode:
-            return self._enqueue_batch_columnar(specs, count)
+        pow2 = self._pow2_decode
+        decode = self.mapper.decode_fast
         total_mask = self._dec_total_mask
         channel_mask = self._dec_channel_mask
         bank_shift = self._dec_bank_shift
@@ -370,11 +368,14 @@ class MemoryController:
         out: List[Request] = []
         append = out.append
         for kind, line_address, arrival, category, core in specs:
-            masked = line_address & total_mask
-            channel = masked & channel_mask
-            bank = (masked >> bank_shift) & bank_mask
-            rank = (masked >> rank_shift) & rank_mask
-            row = (masked >> row_shift) & row_mask
+            if pow2:
+                masked = line_address & total_mask
+                channel = masked & channel_mask
+                bank = (masked >> bank_shift) & bank_mask
+                rank = (masked >> rank_shift) & rank_mask
+                row = (masked >> row_shift) & row_mask
+            else:
+                channel, rank, bank, row, _column = decode(line_address)
             sequence += 1
             request = new(Request)
             request.kind = kind
@@ -403,115 +404,6 @@ class MemoryController:
             counters[1].value += 1
             append(request)
         self._sequence = sequence
-        return out
-
-    def _enqueue_batch_columnar(self, specs, count: int) -> List[Request]:
-        """Large-batch enqueue: one numpy pass decodes every address.
-
-        The channel/rank/bank/row/flat_bank/row_key columns for the whole
-        batch come out of a handful of vectorised integer ops (identical
-        arithmetic to the scalar decode, so the resulting requests are
-        bit-identical); the remaining per-request loop only materialises
-        the Request objects and routes them. Roughly 4x cheaper per spec
-        than the scalar decode at epoch-flush batch sizes.
-
-        Geometries that are not all powers of two decode through
-        ``AddressMapper.decode_fast`` (div/mod) into the same columns.
-        """
-        if not count:
-            return []
-        if self._pow2_decode:
-            lines = np.fromiter(
-                (spec[1] for spec in specs), dtype=np.int64, count=count
-            )
-            masked = lines & self._dec_total_mask
-            rank = (masked >> self._dec_rank_shift) & self._dec_rank_mask
-            bank = (masked >> self._dec_bank_shift) & self._dec_bank_mask
-            row = (masked >> self._dec_row_shift) & self._dec_row_mask
-            flat = rank * self._banks_per_rank + bank
-            channel_col = (masked & self._dec_channel_mask).tolist()
-            rank_col = rank.tolist()
-            bank_col = bank.tolist()
-            row_col = row.tolist()
-            flat_col = flat.tolist()
-            row_key_col = ((flat << 40) | row).tolist()
-        else:
-            decode = self.mapper.decode_fast
-            channel_col, rank_col, bank_col, row_col, _columns = zip(
-                *[decode(spec[1]) for spec in specs]
-            )
-            banks_per_rank = self._banks_per_rank
-            flat_col = [
-                rank_v * banks_per_rank + bank_v
-                for rank_v, bank_v in zip(rank_col, bank_col)
-            ]
-            row_key_col = [
-                (flat_bank << 40) | row_v
-                for flat_bank, row_v in zip(flat_col, row_col)
-            ]
-        queues = self._queues
-        incoming_appends = [q.incoming.append for q in queues]
-        write = _WRITE
-        sequence = self._sequence
-        new = Request.__new__
-        out: List[Request] = []
-        append = out.append
-        # Accounting is tallied locally and flushed once per batch: the
-        # tally dict keeps first-seen order, so lazily created counters
-        # appear in the stats group in exactly the order serial enqueues
-        # would have created them. Keyed (is_write, category) — hashing
-        # a bool is a no-op, hashing the RequestKind enum is a Python
-        # __hash__ call per request.
-        tally: Dict[Tuple[bool, str], int] = {}
-        for (
-            (kind, line_address, arrival, category, core),
-            channel,
-            rank_v,
-            bank_v,
-            row_v,
-            flat_bank,
-            row_key,
-        ) in zip(
-            specs, channel_col, rank_col, bank_col, row_col, flat_col,
-            row_key_col,
-        ):
-            sequence += 1
-            request = new(Request)
-            request.kind = kind
-            request.line_address = line_address
-            request.arrival = arrival
-            request.category = category
-            request.core = core
-            request.channel = channel
-            request.rank = rank_v
-            request.bank = bank_v
-            request.row = row_v
-            request.flat_bank = flat_bank
-            request.row_key = row_key
-            request.completion = None
-            request.sequence = sequence
-            is_write = kind is write
-            request.is_write = is_write
-            incoming_appends[channel]((arrival, sequence, request))
-            key = (is_write, category)
-            try:
-                tally[key] += 1
-            except KeyError:
-                tally[key] = 1
-            append(request)
-        self._sequence = sequence
-        read_counters = self._read_counters
-        write_counters = self._write_counters
-        for (is_write, category), count in tally.items():
-            table = write_counters if is_write else read_counters
-            try:
-                counters = table[category]
-            except KeyError:
-                counters = self._counters_for(
-                    category, write if is_write else RequestKind.READ
-                )
-            counters[0].value += count
-            counters[1].value += count
         return out
 
     # ------------------------------------------------------------------

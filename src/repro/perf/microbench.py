@@ -21,6 +21,8 @@ versions:
 * ``pool_dispatch``     — repeated small ``parallel_map`` fan-outs through
   the shared persistent pool (spawn amortisation + per-map round-trip)
 * ``trace_generate``    — vectorised workload-trace synthesis (sphinx3, 50k)
+* ``mc_multi_fault_device`` — the Monte-Carlo kernel's per-device path
+  (re-seed, fault draws, uncorrectability rule) for multi-fault devices
 
 Cases return their op count; the harness times them (best-of-N
 ``perf_counter``, garbage collection suspended per round as ``timeit``
@@ -301,6 +303,26 @@ def trace_generate() -> int:
     return len(trace)
 
 
+#: Multi-fault devices per scheme in ``mc_multi_fault_device``; every
+#: 16th has three faults, the rest two (the field rates make two-fault
+#: devices dominate the multi-fault population).
+_MC_DEVICES = 2_000
+
+
+def mc_multi_fault_device() -> int:
+    """The per-device Monte-Carlo kernel, all four schemes (per device)."""
+    from repro.reliability.montecarlo import MonteCarloConfig, multi_fault_failures
+    from repro.reliability.schemes import ALL_SCHEMES
+
+    config = MonteCarloConfig()
+    devices = [
+        (index * 37, 3 if index % 16 == 0 else 2) for index in range(_MC_DEVICES)
+    ]
+    for scheme in ALL_SCHEMES:
+        multi_fault_failures(scheme, config, 2018, devices)
+    return len(devices) * len(ALL_SCHEMES)
+
+
 CASES: Dict[str, Callable[[], int]] = {
     "cache_access": cache_access,
     "controller_schedule": controller_schedule,
@@ -311,6 +333,7 @@ CASES: Dict[str, Callable[[], int]] = {
     "context_scope": context_scope,
     "pool_dispatch": pool_dispatch,
     "trace_generate": trace_generate,
+    "mc_multi_fault_device": mc_multi_fault_device,
 }
 
 

@@ -4,12 +4,13 @@
   fault model (Table I): FIT rates per DRAM failure mode, transient and
   permanent.
 * :mod:`repro.reliability.faults` — fault records with address-range
-  footprints inside a chip, and overlap tests between faults.
-* :mod:`repro.reliability.schemes` — per-scheme uncorrectable-error
-  predicates: SECDED, Chipkill, Synergy, IVEC.
-* :mod:`repro.reliability.montecarlo` — Monte-Carlo over device lifetimes:
-  an event-driven reference implementation and a vectorised (numpy) fast
-  path for the billion-device scale of the paper.
+  footprints inside a chip, and the overlap test between faults.
+* :mod:`repro.reliability.schemes` — the per-scheme uncorrectable-error
+  rule (SECDED, Chipkill, Synergy, IVEC), one fault arrival at a time.
+* :mod:`repro.reliability.montecarlo` — Monte-Carlo over device lifetimes
+  in deterministic shards: numpy bins devices by fault count, and one
+  kernel draws and judges the faults of multi-fault devices (the
+  event-based reference it reproduces lives in ``tests/oracles.py``).
 * :mod:`repro.reliability.analytical` — closed-form cross-checks and the
   SDC-rate arithmetic of Section IV-A.
 """

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.reliability.faults import records_overlap
 from repro.reliability.fitrates import FAULT_MODES
-from repro.reliability.montecarlo import MonteCarloConfig
+from repro.reliability.montecarlo import MonteCarloConfig, fault_sampler
 from repro.reliability.schemes import ProtectionScheme
+from repro.util.rng import DeterministicRng
 
 
 def per_chip_fault_probability(config: MonteCarloConfig) -> float:
@@ -59,18 +61,16 @@ def chip_correcting_failure_probability(
 def empirical_overlap_probability(
     config: MonteCarloConfig, samples: int = 20_000, seed: int = 7
 ) -> float:
-    """Estimate P(two random faults on different chips overlap)."""
-    from repro.reliability.faults import faults_overlap
-    from repro.reliability.montecarlo import _sample_fault
-    from repro.util.rng import DeterministicRng
+    """Estimate P(two random faults on different chips overlap).
 
-    rng = DeterministicRng(seed)
-    weights = [mode.fit for mode in FAULT_MODES]
+    Draws fault pairs with the Monte-Carlo kernel's sampler and judges
+    them with its overlap test, so the estimate and the simulation share
+    one fault model and one criterion.
+    """
+    sample = fault_sampler(DeterministicRng(seed).generator, config)
     hits = 0
     for _ in range(samples):
-        first = _sample_fault(rng, 0, rng.weighted_choice(FAULT_MODES, weights), config)
-        second = _sample_fault(rng, 1, rng.weighted_choice(FAULT_MODES, weights), config)
-        if faults_overlap(first, second):
+        if records_overlap(sample(0), sample(1)):
             hits += 1
     return hits / samples
 

@@ -6,14 +6,14 @@ gets a uniformly random location and — if transient — a bounded active
 window ending at the next scrub. The device fails if the scheme's
 uncorrectability predicate ever holds.
 
-Two implementations share the same sampling logic:
-
-* :func:`simulate_device` — per-device, fully explicit; the reference used
-  by unit tests.
-* :func:`simulate_failure_probability` — batched over N devices with a
-  numpy fast path for the (overwhelmingly common) 0/1-fault devices and
-  the explicit predicate only for multi-fault devices. This is how the
-  billion-device scale of the paper becomes tractable in Python.
+Each shard draws every device's fault count with numpy; zero- and
+single-fault devices (all but ~1e-3) resolve in bulk, and the rest run
+:func:`multi_fault_failures`, the per-device kernel: one SHA-256 prefix
+and one re-seeded Mersenne Twister per shard, fault records drawn as flat
+tuples and judged by :meth:`ProtectionScheme.fault_decides` as they
+arrive. This is how the billion-device scale of the paper becomes
+tractable in Python. The event-based reference the kernel is checked
+against, draw for draw, lives in ``tests/oracles.py``.
 
 The device population is partitioned into fixed-size *shards* whose RNG
 streams derive from ``(seed, shard_id)`` alone — never from execution
@@ -26,21 +26,17 @@ the scrub-interval sweep share work.
 
 from __future__ import annotations
 
-import time
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.parallel import (
-    current_stats,
-    parallel_map,
-    resolve_cache,
-    resolve_jobs,
-)
+from repro.parallel import parallel_map, resolve_cache, resolve_jobs
 from repro.parallel.runcache import RunCache, cache_key
-from repro.reliability.faults import ChipGeometry, FaultInstance
-from repro.reliability.fitrates import FAULT_MODES, FaultGranularity, FaultMode
+from repro.reliability.faults import ChipGeometry, FaultRecord, coverage
+from repro.reliability.fitrates import FAULT_MODES
 from repro.reliability.schemes import ProtectionScheme
 from repro.telemetry import (
     MetricsSnapshot,
@@ -48,7 +44,12 @@ from repro.telemetry import (
     current_aggregate,
     get_registry,
 )
-from repro.util.rng import DeterministicRng, derive_seed
+from repro.util.rng import (
+    MersenneTwister,
+    derive_seed,
+    randbelow_for,
+    reseeding_stream,
+)
 from repro.util.units import HOURS_PER_YEAR
 
 #: Failure-count buckets for the per-shard failure histogram.
@@ -69,8 +70,12 @@ _LARGE_FRACTION = (
     / sum(m.fit for m in FAULT_MODES)
 )
 
-#: Fault-mode sampling weights for multi-fault devices (proportional to FIT).
-_MODE_WEIGHTS = [mode.fit for mode in FAULT_MODES]
+#: Cumulative fault-mode weights (proportional to FIT) and their float
+#: total, computed once the way ``random.choices`` computes them per call.
+_MODE_CUM_WEIGHTS = list(accumulate(mode.fit for mode in FAULT_MODES))
+_MODE_TOTAL = _MODE_CUM_WEIGHTS[-1] + 0.0
+#: Per mode, ``(transient, coverage flags)`` for the fault record.
+_MODE_FLAGS = [(mode.transient, coverage(mode.granularity)) for mode in FAULT_MODES]
 
 
 @dataclass(frozen=True)
@@ -107,70 +112,81 @@ class MonteCarloConfig:
         return out
 
 
-def _sample_fault(
-    rng: DeterministicRng,
-    chip: int,
-    mode: FaultMode,
-    config: MonteCarloConfig,
-) -> FaultInstance:
-    """Draw location and timing for one fault arrival."""
+def fault_sampler(
+    rnd: MersenneTwister, config: MonteCarloConfig
+) -> Callable[[int], FaultRecord]:
+    """``sample(chip)``: draw one fault on ``chip`` from ``rnd``.
+
+    The mode as ``random.choices(FAULT_MODES, weights=fit)`` draws it
+    (one ``random()`` bisected into the cumulative weights), a start
+    uniform over the lifetime, then bank, row, column and bit as
+    ``randint`` draws them (:func:`repro.util.rng.randbelow_for`).
+    """
+    randbelow = randbelow_for(rnd)
+    unit = rnd.random
     geometry = config.geometry
-    start = rng.uniform(0.0, config.lifetime_hours)
-    if mode.transient:
-        end: Optional[float] = start + config.scrub_interval_hours
-    else:
-        end = None
-    return FaultInstance(
-        chip=chip,
-        granularity=mode.granularity,
-        transient=mode.transient,
-        start_hour=start,
-        end_hour=end,
-        bank=rng.randint(0, geometry.banks - 1),
-        row=rng.randint(0, geometry.rows_per_bank - 1),
-        column=rng.randint(0, geometry.words_per_row - 1),
-        bit=rng.randint(0, 63),
-    )
+    banks = geometry.banks
+    rows = geometry.rows_per_bank
+    columns = geometry.words_per_row
+    lifetime = config.lifetime_hours
+    scrub = config.scrub_interval_hours
+    cum_weights = _MODE_CUM_WEIGHTS
+    total = _MODE_TOTAL
+    last = len(cum_weights) - 1
+    flags_by_mode = _MODE_FLAGS
+    permanent = float("inf")
+
+    def sample(chip: int) -> FaultRecord:
+        mode = bisect(cum_weights, unit() * total, 0, last)
+        transient, flags = flags_by_mode[mode]
+        # uniform(0.0, lifetime) is 0.0 + lifetime * random(): same float.
+        start = lifetime * unit()
+        end = start + scrub if transient else permanent
+        return (
+            chip,
+            start,
+            end,
+            randbelow(banks),
+            randbelow(rows),
+            randbelow(columns),
+            randbelow(64),
+            *flags,
+        )
+
+    return sample
 
 
-def sample_device_faults(
-    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
-) -> List[FaultInstance]:
-    """All fault arrivals for one device over its lifetime."""
-    faults: List[FaultInstance] = []
-    for chip in range(scheme.chips):
-        for mode in FAULT_MODES:
-            expected = mode.fit * 1e-9 * config.lifetime_hours
-            arrivals = rng.poisson(expected)
-            for _ in range(arrivals):
-                faults.append(_sample_fault(rng, chip, mode, config))
-    return faults
-
-
-def simulate_device(
-    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
-) -> bool:
-    """Reference path: does one simulated device fail?"""
-    return scheme.device_fails(sample_device_faults(rng, scheme, config))
-
-
-def _multi_fault_device_fails(
-    device_rng: DeterministicRng,
+def multi_fault_failures(
     scheme: ProtectionScheme,
     config: MonteCarloConfig,
-    count: int,
-) -> bool:
-    """Explicit predicate for a device with ``count`` (>= 2) faults.
+    shard_seed: int,
+    devices: Iterable[Tuple[int, int]],
+) -> int:
+    """Failures among one shard's ``(device_index, fault_count)`` devices.
 
-    Shared by the per-shard and multi-shard batched paths so the two stay
-    draw-for-draw identical.
+    Device ``i`` draws from the stream of ``DeterministicRng(shard_seed)
+    .fork("device", i)``, reproduced by one re-seeded generator per shard
+    (:func:`repro.util.rng.reseeding_stream`). Each fault is a uniformly
+    random chip, then :func:`fault_sampler`'s draws. Every device has its
+    own stream, so a device stops drawing at the fault that decides it
+    without moving any other draw.
     """
-    faults = []
-    for _ in range(count):
-        chip = device_rng.randint(0, scheme.chips - 1)
-        mode = device_rng.weighted_choice(FAULT_MODES, _MODE_WEIGHTS)
-        faults.append(_sample_fault(device_rng, chip, mode, config))
-    return scheme.device_fails(faults)
+    rnd, reseed = reseeding_stream(shard_seed, "device")
+    randbelow = randbelow_for(rnd)
+    sample = fault_sampler(rnd, config)
+    decides = scheme.fault_decides
+    chips = scheme.chips
+    failures = 0
+    for device_index, count in devices:
+        reseed(device_index)
+        history: List[FaultRecord] = []
+        for _ in range(count):
+            fault = sample(randbelow(chips))
+            if decides(history, fault):
+                failures += 1
+                break
+            history.append(fault)
+    return failures
 
 
 def simulate_shard(
@@ -185,7 +201,7 @@ def simulate_shard(
     mean, so devices are binned by fault count with numpy. Zero-fault
     devices survive. Single-fault devices fail only under SECDED and only
     for multi-bit faults — a Bernoulli, also vectorised. Multi-fault
-    devices (a ~1e-4 fraction) run the explicit predicate.
+    devices (about 1e-3 of them) run :func:`multi_fault_failures`.
 
     All randomness derives from ``(config.seed, shard_id)``, so the shard
     is a pure function of its arguments — the property that makes serial
@@ -207,98 +223,19 @@ def simulate_shard(
     # Chip-correcting schemes survive any single fault by construction.
 
     multi_indices = np.flatnonzero(counts >= 2)
-    rng = DeterministicRng(shard_seed)
-    # One bulk conversion: the loop below sees plain Python ints.
-    for device_index, count in zip(
-        multi_indices.tolist(), counts[multi_indices].tolist()
-    ):
-        device_rng = rng.fork("device", device_index)
-        if _multi_fault_device_fails(device_rng, scheme, config, count):
-            failures += 1
+    # One bulk conversion: the kernel sees plain Python ints.
+    failures += multi_fault_failures(
+        scheme,
+        config,
+        shard_seed,
+        zip(multi_indices.tolist(), counts[multi_indices].tolist()),
+    )
     registry = get_registry()
     registry.counter("mc.shards").inc()
     registry.counter("mc.devices").inc(shard_size)
     registry.counter("mc.failures").inc(failures)
     registry.histogram("mc.shard_failures", SHARD_FAILURE_EDGES).record(failures)
     return failures
-
-
-def simulate_shards_batched(
-    scheme: ProtectionScheme,
-    config: MonteCarloConfig,
-    shards: List[Tuple[int, int]],
-) -> List[Tuple[int, dict]]:
-    """Multi-cell batched epoch mode: classify every shard in one pass.
-
-    The serial (``jobs == 1``) counterpart of fanning ``_shard_task`` over
-    a pool: instead of classifying shard populations one at a time, every
-    shard's Poisson fault counts are drawn up front and the 0/1/multi
-    device classification runs as a single numpy pass over the
-    concatenated population. Per-shard draw order is untouched — each
-    shard keeps its own ``(seed, shard_id)``-derived generator and draws
-    poisson-then-binomial from it, exactly as :func:`simulate_shard` does —
-    so failure counts and telemetry payloads are bit-identical to the
-    per-shard path, whatever the interleaving.
-    """
-    device_rate = _FIT_RATE * config.lifetime_hours * scheme.chips
-    generators = []
-    counts_per_shard = []
-    for shard_id, size in shards:
-        gen = np.random.default_rng(derive_seed(config.seed, "mc-shard", shard_id))
-        generators.append(gen)
-        counts_per_shard.append(gen.poisson(device_rate, size))
-
-    # One classification pass over the whole population: per-shard
-    # single-fault tallies via segmented reduction, multi-fault device
-    # coordinates via one flatnonzero over the concatenated counts.
-    all_counts = np.concatenate(counts_per_shard)
-    bounds = np.zeros(len(shards) + 1, dtype=np.int64)
-    np.cumsum([size for _shard_id, size in shards], out=bounds[1:])
-    ones_per_shard = np.add.reduceat(
-        (all_counts == 1).astype(np.int64), bounds[:-1]
-    )
-    multi_global = np.flatnonzero(all_counts >= 2)
-    multi_shard = np.searchsorted(bounds, multi_global, side="right") - 1
-    multi_local = multi_global - bounds[multi_shard]
-
-    # Bulk-convert the classification output once; the per-shard loop
-    # below sees plain Python ints (lint P204).
-    ones_list = ones_per_shard.tolist()
-    multi_by_shard: List[List[Tuple[int, int]]] = [[] for _shard in shards]
-    for shard_pos, local_index, count in zip(
-        multi_shard.tolist(),
-        multi_local.tolist(),
-        all_counts[multi_global].tolist(),
-    ):
-        multi_by_shard[shard_pos].append((local_index, count))
-
-    chip_correcting = scheme.chip_correcting
-    results: List[Tuple[int, dict]] = []
-    for position, (shard_id, size) in enumerate(shards):
-        shard_seed = derive_seed(config.seed, "mc-shard", shard_id)
-        with cell_scope(cell="mc:%s" % scheme.name, shard=shard_id) as registry:
-            failures = 0
-            single_fault_devices = ones_list[position]
-            if not chip_correcting and single_fault_devices:
-                failures += int(
-                    generators[position].binomial(
-                        single_fault_devices, _LARGE_FRACTION
-                    )
-                )
-            rng = DeterministicRng(shard_seed)
-            for device_index, count in multi_by_shard[position]:
-                device_rng = rng.fork("device", device_index)
-                if _multi_fault_device_fails(device_rng, scheme, config, count):
-                    failures += 1
-            registry.counter("mc.shards").inc()
-            registry.counter("mc.devices").inc(size)
-            registry.counter("mc.failures").inc(failures)
-            registry.histogram("mc.shard_failures", SHARD_FAILURE_EDGES).record(
-                failures
-            )
-            payload = registry.snapshot().to_payload()
-        results.append((failures, payload))
-    return results
 
 
 def _shard_task(task: Tuple) -> Tuple[int, dict]:
@@ -343,28 +280,12 @@ def simulate_failure_probability(
             return float(payload["probability"])
 
     shards = config.shards()
-    if jobs <= 1 and len(shards) > 1:
-        # Serial route: the multi-cell batched epoch stepper classifies
-        # every shard in one numpy pass (bit-identical to the per-shard
-        # path — see simulate_shards_batched).
-        span_started = time.perf_counter()
-        shard_results = simulate_shards_batched(scheme, config, shards)
-        elapsed = time.perf_counter() - span_started
-        stats = current_stats()
-        for shard_id, _size in shards:
-            stats.record_cell(
-                "%s/shard%d" % (label, shard_id), elapsed / len(shards)
-            )
-        stats.record_map(1, elapsed)
-    else:
-        shard_results = parallel_map(
-            _shard_task,
-            [(scheme, config, shard_id, size) for shard_id, size in shards],
-            jobs=jobs,
-            labels=[
-                "%s/shard%d" % (label, shard_id) for shard_id, _size in shards
-            ],
-        )
+    shard_results = parallel_map(
+        _shard_task,
+        [(scheme, config, shard_id, size) for shard_id, size in shards],
+        jobs=jobs,
+        labels=["%s/shard%d" % (label, shard_id) for shard_id, _size in shards],
+    )
     failures = sum(result[0] for result in shard_results)
     # parallel_map returns in submission (= shard) order, and the merge is
     # commutative anyway: the aggregate is independent of worker count.

@@ -21,10 +21,9 @@ could pair up (Section VI-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
-from repro.reliability.faults import FaultInstance, faults_overlap
-from repro.reliability.fitrates import FaultGranularity
+from repro.reliability.faults import FaultInstance, FaultRecord, records_overlap
 
 
 @dataclass(frozen=True)
@@ -37,41 +36,47 @@ class ProtectionScheme:
 
     def device_fails(self, faults: List[FaultInstance]) -> bool:
         """Does this fault history make the device fail within lifetime?"""
-        if not faults:
-            return False
-        if self.chip_correcting:
-            return self._multi_chip_overlap(faults)
-        return self._secded_fails(faults)
-
-    # -- chip-correcting schemes (Chipkill, Synergy, IVEC) -----------------
-
-    @staticmethod
-    def _multi_chip_overlap(faults: List[FaultInstance]) -> bool:
-        for index, first in enumerate(faults):
-            for second in faults[index + 1 :]:
-                if first.chip != second.chip and faults_overlap(first, second):
-                    return True
+        history: List[FaultRecord] = []
+        for fault in faults:
+            record = fault.record()
+            if self.fault_decides(history, record):
+                return True
+            history.append(record)
         return False
 
-    # -- SECDED --------------------------------------------------------------
+    def fault_decides(
+        self, history: Sequence[FaultRecord], fault: FaultRecord
+    ) -> bool:
+        """Does ``fault`` make a device with the surviving ``history`` fail?
 
-    @staticmethod
-    def _secded_fails(faults: List[FaultInstance]) -> bool:
-        # Any multi-bit fault corrupts >1 bit of some word: uncorrectable.
-        for fault in faults:
-            if fault.granularity is not FaultGranularity.SINGLE_BIT:
-                return True
-        # Two single-bit faults in the same word (any chips, same address).
-        for index, first in enumerate(faults):
-            for second in faults[index + 1 :]:
-                same_word = (
-                    first.bank == second.bank
-                    and first.row == second.row
-                    and first.column == second.column
-                )
-                distinct_bits = first.chip != second.chip or first.bit != second.bit
-                if same_word and distinct_bits and first.active_during(second):
+        The Fig. 11 uncorrectability rule, one arrival at a time: a device
+        fails as soon as some fault decides it, so the Monte-Carlo kernel
+        stops drawing there and :meth:`device_fails` folds it over a list.
+
+        * Chip-correcting schemes (Chipkill, Synergy, IVEC) fail when two
+          faults on different chips overlap spatio-temporally.
+        * SECDED fails on any multi-bit fault, or on two single-bit faults
+          active together in one word (distinct chips or bit positions).
+        """
+        chip = fault[0]
+        if self.chip_correcting:
+            for other in history:
+                if other[0] != chip and records_overlap(other, fault):
                     return True
+            return False
+        if fault[7]:
+            return True
+        _chip, start, end, bank, row, column, bit = fault[:7]
+        # A surviving SECDED history holds single-bit faults only.
+        for other in history:
+            if (
+                other[3] == bank
+                and other[4] == row
+                and other[5] == column
+                and (other[0] != chip or other[6] != bit)
+                and max(other[1], start) <= min(other[2], end)
+            ):
+                return True
         return False
 
 

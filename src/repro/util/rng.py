@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
 
 try:  # numpy is optional at the API level; vectorised callers gate on it.
     import numpy as _np
@@ -41,11 +41,61 @@ def derive_seed(*components: object) -> int:
     inputs always produce the same seed while distinct experiments get
     independent streams.
     """
+    return int.from_bytes(_seed_hasher(components).digest()[:8], "big")
+
+
+def _seed_hasher(components: Iterable[object]) -> "hashlib._Hash":
     digest = hashlib.sha256()
     for component in components:
         digest.update(repr(component).encode("utf-8"))
         digest.update(b"\x00")
-    return int.from_bytes(digest.digest()[:8], "big")
+    return digest
+
+
+#: The stdlib generator type, for annotating kernels that bind its methods.
+MersenneTwister = random.Random
+
+
+def reseeding_stream(
+    seed: int, *components: object
+) -> Tuple[MersenneTwister, Callable[[object], None]]:
+    """One generator standing in for many ``fork`` children.
+
+    ``reseed(last)`` puts the returned generator in exactly the state of
+    the generator behind ``DeterministicRng(seed).fork(*components,
+    last)``: the SHA-256 prefix over ``(seed, *components)`` is hashed
+    once and extended per child, and ``Random.seed(n)`` reaches the same
+    state as ``Random(n)``. For kernels that would otherwise fork one
+    short-lived child per item, a fresh hash and generator each.
+    """
+    prefix = _seed_hasher((seed,) + components)
+    generator = random.Random()
+    seed_generator = generator.seed
+
+    def reseed(last: object) -> None:
+        digest = prefix.copy()
+        digest.update(repr(last).encode("utf-8") + b"\x00")
+        seed_generator(int.from_bytes(digest.digest()[:8], "big"))
+
+    return generator, reseed
+
+
+def randbelow_for(generator: MersenneTwister) -> Callable[[int], int]:
+    """``randbelow(n)``: ``generator.randrange(n)``, draw for draw.
+
+    A copy of CPython's ``Random._randbelow_with_getrandbits`` bound to
+    ``generator.getrandbits``, without ``randrange``'s argument handling.
+    """
+    getrandbits = generator.getrandbits
+
+    def randbelow(n: int) -> int:
+        k = n.bit_length()  # not (n - 1): n can be 1
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return randbelow
 
 
 class DeterministicRng:
@@ -63,6 +113,11 @@ class DeterministicRng:
     def seed(self) -> int:
         """The seed this generator was created with."""
         return self._seed
+
+    @property
+    def generator(self) -> MersenneTwister:
+        """The underlying generator, for kernels that bind its methods."""
+        return self._random
 
     def fork(self, *components: object) -> "DeterministicRng":
         """Create an independent child stream labelled by ``components``."""

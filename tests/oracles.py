@@ -17,11 +17,20 @@ with the tests, not in ``src/repro``, because nothing at run time uses them:
 * :func:`reference_choose` — the O(queue) FR-FCFS scan behind
   ``FrFcfsScheduler.choose_indexed``;
 * :func:`generate_trace_reference` — the per-record trace-synthesis loop
-  behind the batched ``generate_trace``.
+  behind the batched ``generate_trace``;
+* :func:`simulate_device` / :func:`sample_device_faults` — the event-based
+  Monte-Carlo reference (every chip, every mode, Poisson arrivals), and
+  :func:`_multi_fault_device_fails` / :func:`reference_shard_task` — the
+  per-device ``fork`` draw path ``multi_fault_failures`` reproduces draw
+  for draw, judged by :func:`reference_device_fails`, the ``FaultInstance``
+  predicate (``_multi_chip_overlap``, ``_secded_fails``,
+  ``footprints_intersect``) kept independent of the shipped record test.
 """
 
 from collections import deque
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.cpu.trace import MemoryOp, Trace, TraceRecord
@@ -30,8 +39,18 @@ from repro.dram.channel import ChannelState
 from repro.dram.controller import MemoryController, Request, RequestKind
 from repro.dram.scheduler import FrFcfsScheduler
 from repro.dram.timing import DramTiming, MemoryConfig
+from repro.reliability.faults import FaultInstance
+from repro.reliability.fitrates import FAULT_MODES, FaultGranularity, FaultMode
+from repro.reliability.montecarlo import (
+    _FIT_RATE,
+    _LARGE_FRACTION,
+    SHARD_FAILURE_EDGES,
+    MonteCarloConfig,
+)
+from repro.reliability.schemes import ProtectionScheme
 from repro.secure.designs import MacLocation, TreeKind
 from repro.secure.timing_engine import SecureTimingEngine
+from repro.telemetry import cell_scope
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.generator import (
     _LINES_PER_PAGE,
@@ -658,3 +677,213 @@ def generate_trace_reference(
             burst_offset += 1
         records.append(TraceRecord(gap, op, base_line + line))
     return Trace(records, name="%s.c%d" % (profile.name, core_id))
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo reliability: the event-based reference
+# ---------------------------------------------------------------------------
+#
+# The Fig. 11 criterion as it was stated over ``FaultInstance`` objects,
+# and the per-device draw path ``multi_fault_failures`` must reproduce:
+# one ``DeterministicRng.fork("device", i)`` per device, ``randint`` and
+# ``weighted_choice`` draws, a full fault list, then the predicate.
+
+
+def _covers_all_banks(fault: FaultInstance) -> bool:
+    return fault.granularity in (
+        FaultGranularity.MULTI_BANK,
+        FaultGranularity.MULTI_RANK,
+    )
+
+
+def _covers_all_rows(fault: FaultInstance) -> bool:
+    return fault.granularity in (
+        FaultGranularity.SINGLE_COLUMN,
+        FaultGranularity.SINGLE_BANK,
+        FaultGranularity.MULTI_BANK,
+        FaultGranularity.MULTI_RANK,
+    )
+
+
+def _covers_all_columns(fault: FaultInstance) -> bool:
+    return fault.granularity in (
+        FaultGranularity.SINGLE_ROW,
+        FaultGranularity.SINGLE_BANK,
+        FaultGranularity.MULTI_BANK,
+        FaultGranularity.MULTI_RANK,
+    )
+
+
+def active_during(first: FaultInstance, other: FaultInstance) -> bool:
+    """Do the two faults' active windows intersect?"""
+    start = max(first.start_hour, other.start_hour)
+    end = min(
+        first.end_hour if first.end_hour is not None else float("inf"),
+        other.end_hour if other.end_hour is not None else float("inf"),
+    )
+    return start <= end
+
+
+def _axis_intersects(a_all: bool, a_coord: int, b_all: bool, b_coord: int) -> bool:
+    if a_all or b_all:
+        return True
+    return a_coord == b_coord
+
+
+def footprints_intersect(a: FaultInstance, b: FaultInstance) -> bool:
+    """Do the two faults corrupt at least one common word address?"""
+    return (
+        _axis_intersects(_covers_all_banks(a), a.bank, _covers_all_banks(b), b.bank)
+        and _axis_intersects(_covers_all_rows(a), a.row, _covers_all_rows(b), b.row)
+        and _axis_intersects(
+            _covers_all_columns(a), a.column, _covers_all_columns(b), b.column
+        )
+    )
+
+
+def _multi_chip_overlap(faults: List[FaultInstance]) -> bool:
+    for index, first in enumerate(faults):
+        for second in faults[index + 1 :]:
+            if (
+                first.chip != second.chip
+                and active_during(first, second)
+                and footprints_intersect(first, second)
+            ):
+                return True
+    return False
+
+
+def _secded_fails(faults: List[FaultInstance]) -> bool:
+    # Any multi-bit fault corrupts >1 bit of some word: uncorrectable.
+    for fault in faults:
+        if fault.granularity is not FaultGranularity.SINGLE_BIT:
+            return True
+    # Two single-bit faults in the same word (any chips, same address).
+    for index, first in enumerate(faults):
+        for second in faults[index + 1 :]:
+            same_word = (
+                first.bank == second.bank
+                and first.row == second.row
+                and first.column == second.column
+            )
+            distinct_bits = first.chip != second.chip or first.bit != second.bit
+            if same_word and distinct_bits and active_during(first, second):
+                return True
+    return False
+
+
+def reference_device_fails(
+    scheme: ProtectionScheme, faults: List[FaultInstance]
+) -> bool:
+    """Does this fault history make the device fail within lifetime?"""
+    if not faults:
+        return False
+    if scheme.chip_correcting:
+        return _multi_chip_overlap(faults)
+    return _secded_fails(faults)
+
+
+#: Fault-mode sampling weights for multi-fault devices (proportional to FIT).
+_MODE_WEIGHTS = [mode.fit for mode in FAULT_MODES]
+
+
+def _sample_fault(
+    rng: DeterministicRng,
+    chip: int,
+    mode: FaultMode,
+    config: MonteCarloConfig,
+) -> FaultInstance:
+    """Draw location and timing for one fault arrival."""
+    geometry = config.geometry
+    start = rng.uniform(0.0, config.lifetime_hours)
+    if mode.transient:
+        end: Optional[float] = start + config.scrub_interval_hours
+    else:
+        end = None
+    return FaultInstance(
+        chip=chip,
+        granularity=mode.granularity,
+        transient=mode.transient,
+        start_hour=start,
+        end_hour=end,
+        bank=rng.randint(0, geometry.banks - 1),
+        row=rng.randint(0, geometry.rows_per_bank - 1),
+        column=rng.randint(0, geometry.words_per_row - 1),
+        bit=rng.randint(0, 63),
+    )
+
+
+def sample_device_faults(
+    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
+) -> List[FaultInstance]:
+    """All fault arrivals for one device over its lifetime (event-based)."""
+    faults: List[FaultInstance] = []
+    for chip in range(scheme.chips):
+        for mode in FAULT_MODES:
+            expected = mode.fit * 1e-9 * config.lifetime_hours
+            arrivals = rng.poisson(expected)
+            for _ in range(arrivals):
+                faults.append(_sample_fault(rng, chip, mode, config))
+    return faults
+
+
+def simulate_device(
+    rng: DeterministicRng, scheme: ProtectionScheme, config: MonteCarloConfig
+) -> bool:
+    """Reference path: does one simulated device fail?"""
+    return reference_device_fails(scheme, sample_device_faults(rng, scheme, config))
+
+
+def draw_device_faults(
+    device_rng: DeterministicRng,
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    count: int,
+) -> List[FaultInstance]:
+    """The ``count`` faults of a multi-fault device, in draw order."""
+    faults = []
+    for _ in range(count):
+        chip = device_rng.randint(0, scheme.chips - 1)
+        mode = device_rng.weighted_choice(FAULT_MODES, _MODE_WEIGHTS)
+        faults.append(_sample_fault(device_rng, chip, mode, config))
+    return faults
+
+
+def _multi_fault_device_fails(
+    device_rng: DeterministicRng,
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    count: int,
+) -> bool:
+    """Explicit predicate for a device with ``count`` (>= 2) faults."""
+    return reference_device_fails(
+        scheme, draw_device_faults(device_rng, scheme, config, count)
+    )
+
+
+def reference_shard_task(task: Tuple) -> Tuple[int, dict]:
+    """``_shard_task`` with the per-device fork path: ``(failures, payload)``."""
+    scheme, config, shard_id, shard_size = task
+    with cell_scope(cell="mc:%s" % scheme.name, shard=shard_id) as registry:
+        shard_seed = derive_seed(config.seed, "mc-shard", shard_id)
+        device_rate = _FIT_RATE * config.lifetime_hours * scheme.chips
+        rng_np = np.random.default_rng(shard_seed)
+        counts = rng_np.poisson(device_rate, shard_size)
+        failures = 0
+        single_fault_devices = int(np.count_nonzero(counts == 1))
+        if not scheme.chip_correcting and single_fault_devices:
+            failures += int(rng_np.binomial(single_fault_devices, _LARGE_FRACTION))
+        rng = DeterministicRng(shard_seed)
+        multi_indices = np.flatnonzero(counts >= 2)
+        for device_index, count in zip(
+            multi_indices.tolist(), counts[multi_indices].tolist()
+        ):
+            device_rng = rng.fork("device", device_index)
+            if _multi_fault_device_fails(device_rng, scheme, config, count):
+                failures += 1
+        registry.counter("mc.shards").inc()
+        registry.counter("mc.devices").inc(shard_size)
+        registry.counter("mc.failures").inc(failures)
+        registry.histogram("mc.shard_failures", SHARD_FAILURE_EDGES).record(failures)
+        payload = registry.snapshot().to_payload()
+    return failures, payload

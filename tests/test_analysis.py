@@ -1,6 +1,7 @@
 """Tests for repro.analysis: the lint engine/rules and the runtime sanitizer."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,36 @@ class TestRepoIsClean:
         )
         assert proc.returncode == 1
         assert "D101" in proc.stdout
+
+
+class TestImportFootprint:
+    def test_simulator_import_leaves_linter_unloaded(self):
+        # The simulator needs only the sanitizer; the package serves the
+        # linter and raceguard names lazily.
+        code = (
+            "import sys\n"
+            "import repro.sim.runner, repro.harness.experiments\n"
+            "import repro.reliability.montecarlo\n"
+            "print(sorted(name for name in ('repro.analysis.raceguard',"
+            " 'repro.analysis.linter') if name in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_lazy_names_resolve(self):
+        import repro.analysis as analysis
+
+        assert analysis.lint_paths.__module__ == "repro.analysis.linter"
+        assert analysis.ConcurrencyReport.__module__ == "repro.analysis.raceguard"
+        assert set(analysis.__all__) <= set(dir(analysis)) | set(analysis._LAZY)
+        with pytest.raises(AttributeError):
+            analysis.not_a_name
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ failures reproduce exactly) and compare every observable:
 The warm phase compares the two ``warm_metadata`` walks under the same
 post-warmup reset contract the system simulator applies.
 
-A second class pins the Monte-Carlo multi-shard batched classification
-(``simulate_shards_batched``) to the per-shard reference, including the
-per-shard telemetry payloads.
+A second class pins the Monte-Carlo shard kernel to the per-device
+``fork`` oracle (``reference_shard_task``), failure counts and per-shard
+telemetry payloads alike, and the serial (``jobs=1``) route to the pool
+route.
 """
 
 import pytest
@@ -31,7 +32,7 @@ from repro.dram.timing import MemoryConfig
 from repro.reliability.montecarlo import (
     MonteCarloConfig,
     _shard_task,
-    simulate_shards_batched,
+    simulate_failure_probability,
 )
 from repro.reliability.schemes import (
     CHIPKILL_SCHEME,
@@ -43,7 +44,7 @@ from repro.secure.designs import ALL_DESIGNS, IVEC, LOTECC, SGX_O, SYNERGY
 from repro.secure.timing_engine import SecureTimingEngine
 from repro.telemetry import cell_scope
 
-from oracles import ScalarTimingEngine
+from oracles import ScalarTimingEngine, reference_shard_task
 
 #: Small caches so a short stream still produces evictions, dirty spills
 #: and metadata-cache misses (the interesting transitions).
@@ -176,32 +177,39 @@ def test_deferred_equivalence_seed_sweep(seed):
         assert shipped == oracle, design.name
 
 
-class TestMonteCarloBatched:
-    def test_batched_shards_match_reference(self):
+def _shards_match_oracle(scheme, config):
+    """Per-shard ``(failures, payload)`` equal the oracle's; both routes agree."""
+    shards = config.shards()
+    shipped = [
+        _shard_task((scheme, config, shard_id, size)) for shard_id, size in shards
+    ]
+    reference = [
+        reference_shard_task((scheme, config, shard_id, size))
+        for shard_id, size in shards
+    ]
+    assert shipped == reference, scheme.name
+    expected = sum(failures for failures, _payload in reference) / config.devices
+    for jobs in (1, 2):
+        probability = simulate_failure_probability(
+            scheme, config, jobs=jobs, cache=False
+        )
+        assert probability == expected, (scheme.name, jobs)
+
+
+class TestMonteCarloShards:
+    def test_shards_match_oracle_on_both_routes(self):
         config = MonteCarloConfig(
             devices=120_000, shard_devices=50_000, seed=77
         )
-        shards = config.shards()
         for scheme in (
             SECDED_SCHEME,
             CHIPKILL_SCHEME,
             SYNERGY_SCHEME,
             IVEC_SCHEME,
         ):
-            batched = simulate_shards_batched(scheme, config, shards)
-            reference = [
-                _shard_task((scheme, config, shard_id, size))
-                for shard_id, size in shards
-            ]
-            assert batched == reference, scheme.name
+            _shards_match_oracle(scheme, config)
 
-    def test_batched_handles_ragged_final_shard(self):
+    def test_ragged_final_shard_matches_oracle(self):
         config = MonteCarloConfig(devices=70_001, shard_devices=30_000, seed=5)
-        shards = config.shards()
-        assert [size for _sid, size in shards] == [30_000, 30_000, 10_001]
-        batched = simulate_shards_batched(SECDED_SCHEME, config, shards)
-        reference = [
-            _shard_task((SECDED_SCHEME, config, shard_id, size))
-            for shard_id, size in shards
-        ]
-        assert batched == reference
+        assert [size for _sid, size in config.shards()] == [30_000, 30_000, 10_001]
+        _shards_match_oracle(SECDED_SCHEME, config)

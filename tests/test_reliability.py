@@ -10,12 +10,7 @@ from repro.reliability.analytical import (
     sdc_estimate,
     secded_failure_probability,
 )
-from repro.reliability.faults import (
-    ChipGeometry,
-    FaultInstance,
-    faults_overlap,
-    footprints_intersect,
-)
+from repro.reliability.faults import FaultInstance, faults_overlap
 from repro.reliability.fitrates import (
     FAULT_MODES,
     FaultGranularity,
@@ -25,8 +20,6 @@ from repro.reliability.fitrates import (
 )
 from repro.reliability.montecarlo import (
     MonteCarloConfig,
-    sample_device_faults,
-    simulate_device,
     simulate_failure_probability,
 )
 from repro.reliability.schemes import (
@@ -36,6 +29,13 @@ from repro.reliability.schemes import (
     SYNERGY_SCHEME,
 )
 from repro.util.rng import DeterministicRng
+
+from oracles import (
+    footprints_intersect,
+    reference_device_fails,
+    sample_device_faults,
+    simulate_device,
+)
 
 
 def fault(chip, granularity, bank=0, row=0, column=0, start=0.0, end=None, bit=0):
@@ -50,6 +50,24 @@ def fault(chip, granularity, bank=0, row=0, column=0, start=0.0, end=None, bit=0
         column=column,
         bit=bit,
     )
+
+
+def intersects(a, b):
+    """Footprint intersection of two permanent faults that start at hour 0.
+
+    Such faults are always active together, so the shipped overlap test
+    must agree with the oracle's footprint predicate.
+    """
+    expected = footprints_intersect(a, b)
+    assert faults_overlap(a, b) == expected
+    return expected
+
+
+def fails(scheme, faults):
+    """``scheme.device_fails``, checked against the oracle predicate."""
+    outcome = scheme.device_fails(faults)
+    assert outcome == reference_device_fails(scheme, faults)
+    return outcome
 
 
 class TestFitRates:
@@ -80,34 +98,34 @@ class TestOverlap:
     def test_same_word_bits_intersect(self):
         a = fault(0, FaultGranularity.SINGLE_BIT, bank=1, row=2, column=3)
         b = fault(1, FaultGranularity.SINGLE_BIT, bank=1, row=2, column=3)
-        assert footprints_intersect(a, b)
+        assert intersects(a, b)
 
     def test_different_word_bits_disjoint(self):
         a = fault(0, FaultGranularity.SINGLE_BIT, bank=1, row=2, column=3)
         b = fault(1, FaultGranularity.SINGLE_BIT, bank=1, row=2, column=4)
-        assert not footprints_intersect(a, b)
+        assert not intersects(a, b)
 
     def test_row_and_column_cross_in_same_bank(self):
         row_fault = fault(0, FaultGranularity.SINGLE_ROW, bank=2, row=5)
         column_fault = fault(1, FaultGranularity.SINGLE_COLUMN, bank=2, column=9)
-        assert footprints_intersect(row_fault, column_fault)
+        assert intersects(row_fault, column_fault)
 
     def test_row_and_column_different_banks_disjoint(self):
         row_fault = fault(0, FaultGranularity.SINGLE_ROW, bank=2, row=5)
         column_fault = fault(1, FaultGranularity.SINGLE_COLUMN, bank=3, column=9)
-        assert not footprints_intersect(row_fault, column_fault)
+        assert not intersects(row_fault, column_fault)
 
     def test_bank_fault_covers_its_bank(self):
         bank_fault = fault(0, FaultGranularity.SINGLE_BANK, bank=4)
         bit = fault(1, FaultGranularity.SINGLE_BIT, bank=4, row=9, column=9)
         other = fault(1, FaultGranularity.SINGLE_BIT, bank=5, row=9, column=9)
-        assert footprints_intersect(bank_fault, bit)
-        assert not footprints_intersect(bank_fault, other)
+        assert intersects(bank_fault, bit)
+        assert not intersects(bank_fault, other)
 
     def test_chip_scale_faults_cover_everything(self):
         chip_fault = fault(0, FaultGranularity.MULTI_BANK)
         anything = fault(1, FaultGranularity.SINGLE_BIT, bank=7, row=1, column=1)
-        assert footprints_intersect(chip_fault, anything)
+        assert intersects(chip_fault, anything)
 
     def test_temporal_disjoint_transients(self):
         a = fault(0, FaultGranularity.SINGLE_BANK, bank=0, start=0.0, end=10.0)
@@ -123,8 +141,9 @@ class TestOverlap:
 
 class TestSchemes:
     def test_secded_survives_single_bit(self):
-        assert not SECDED_SCHEME.device_fails(
-            [fault(0, FaultGranularity.SINGLE_BIT, bank=0, row=0, column=0)]
+        assert not fails(
+            SECDED_SCHEME,
+            [fault(0, FaultGranularity.SINGLE_BIT, bank=0, row=0, column=0)],
         )
 
     def test_secded_fails_any_large_fault(self):
@@ -133,46 +152,46 @@ class TestSchemes:
             FaultGranularity.SINGLE_ROW,
             FaultGranularity.SINGLE_BANK,
         ):
-            assert SECDED_SCHEME.device_fails([fault(0, granularity)])
+            assert fails(SECDED_SCHEME, [fault(0, granularity)])
 
     def test_secded_fails_double_bit_same_word(self):
         faults = [
             fault(0, FaultGranularity.SINGLE_BIT, bank=1, row=1, column=1, bit=0),
             fault(3, FaultGranularity.SINGLE_BIT, bank=1, row=1, column=1, bit=0),
         ]
-        assert SECDED_SCHEME.device_fails(faults)
+        assert fails(SECDED_SCHEME, faults)
 
     def test_secded_survives_double_bit_different_words(self):
         faults = [
             fault(0, FaultGranularity.SINGLE_BIT, bank=1, row=1, column=1),
             fault(3, FaultGranularity.SINGLE_BIT, bank=1, row=1, column=2),
         ]
-        assert not SECDED_SCHEME.device_fails(faults)
+        assert not fails(SECDED_SCHEME, faults)
 
     def test_chip_correcting_survives_one_dead_chip(self):
         for scheme in (CHIPKILL_SCHEME, SYNERGY_SCHEME, IVEC_SCHEME):
-            assert not scheme.device_fails([fault(0, FaultGranularity.MULTI_BANK)])
+            assert not fails(scheme, [fault(0, FaultGranularity.MULTI_BANK)])
 
     def test_chip_correcting_survives_two_faults_same_chip(self):
         faults = [
             fault(2, FaultGranularity.SINGLE_BANK, bank=0),
             fault(2, FaultGranularity.SINGLE_BANK, bank=0),
         ]
-        assert not SYNERGY_SCHEME.device_fails(faults)
+        assert not fails(SYNERGY_SCHEME, faults)
 
     def test_chip_correcting_fails_two_overlapping_chips(self):
         faults = [
             fault(2, FaultGranularity.SINGLE_BANK, bank=0),
             fault(5, FaultGranularity.SINGLE_BANK, bank=0),
         ]
-        assert SYNERGY_SCHEME.device_fails(faults)
+        assert fails(SYNERGY_SCHEME, faults)
 
     def test_chip_correcting_survives_disjoint_chips(self):
         faults = [
             fault(2, FaultGranularity.SINGLE_BANK, bank=0),
             fault(5, FaultGranularity.SINGLE_BANK, bank=1),
         ]
-        assert not SYNERGY_SCHEME.device_fails(faults)
+        assert not fails(SYNERGY_SCHEME, faults)
 
     def test_group_sizes(self):
         assert SECDED_SCHEME.chips == 9
@@ -181,7 +200,7 @@ class TestSchemes:
         assert IVEC_SCHEME.chips == 16
 
     def test_empty_history_survives(self):
-        assert not SECDED_SCHEME.device_fails([])
+        assert not fails(SECDED_SCHEME, [])
 
 
 class TestMonteCarlo:
@@ -254,6 +273,11 @@ class TestAnalytical:
         )
         simulated = simulate_failure_probability(CHIPKILL_SCHEME, config)
         assert analytical == pytest.approx(simulated, rel=0.5)
+
+    def test_overlap_probability_pinned(self):
+        # The kernel's sampler reproduces the FaultInstance-era draws, so
+        # the estimate is the exact value the per-call sampler gave.
+        assert empirical_overlap_probability(MonteCarloConfig()) == 0.1472
 
     def test_large_fraction(self):
         assert large_fault_fraction() == pytest.approx(1 - single_bit_fraction())

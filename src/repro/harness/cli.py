@@ -67,15 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="ignore and do not populate the on-disk run cache",
     )
     parser.add_argument(
-        "--plan",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="('all' only) plan the whole run first: dedup the grid cells "
-        "every figure needs and execute the unique set in one fan-out "
-        "before assembling figures (--no-plan restores the legacy "
-        "figure-at-a-time loop)",
-    )
-    parser.add_argument(
         "--metrics-out",
         default=metrics_out_from_env(),
         metavar="PATH",
@@ -167,7 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     TELEMETRY_AGGREGATE.reset()
     plan_summary = None
-    if args.experiment == "all" and args.plan:
+    if args.experiment == "all":
         plan_summary = _prefetch(names, args, cache)
     for name in names:
         print("=" * 72)
@@ -177,7 +168,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         started = time.perf_counter()
         run_experiment(name, scale=args.scale, jobs=args.jobs, cache=cache)
         print("[%s finished in %.1fs]" % (name, time.perf_counter() - started))
-        if EXECUTION_STATS.cells_executed or EXECUTION_STATS.cache_hits:
+        if (
+            EXECUTION_STATS.cells_executed
+            or EXECUTION_STATS.cache_hits
+            or EXECUTION_STATS.memo_hits
+        ):
             print(render_execution_stats(EXECUTION_STATS))
         print()
     if TELEMETRY_AGGREGATE:
@@ -206,7 +201,7 @@ def _prefetch(names: List[str], args: argparse.Namespace, cache) -> dict:
     from repro.harness.plan import execute_plan, plan_experiments
 
     print("=" * 72)
-    print("Planned prefetch (whole-run dedup; --no-plan disables)")
+    print("Planned prefetch (whole-run dedup)")
     print("=" * 72)
     EXECUTION_STATS.reset()
     started = time.perf_counter()

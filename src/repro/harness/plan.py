@@ -3,9 +3,9 @@
 A full evaluation run (``synergy-repro all``) regenerates 16 tables and
 figures whose performance grids overlap heavily — the SGX_O/SGX/Synergy
 baseline recurs in Figs. 8/9/10, Fig. 12's two-channel leg, and the
-monolithic halves of Figs. 13/14. The legacy path recovers that overlap
-only opportunistically, one figure at a time, through cache hits; every
-figure still pays its own fan-out spin-up and its own straggler tail.
+monolithic halves of Figs. 13/14. Run figure at a time, that overlap is
+recovered only opportunistically, through cache hits; every figure still
+pays its own fan-out spin-up and its own straggler tail.
 
 The planner turns the run inside out:
 
@@ -14,9 +14,10 @@ The planner turns the run inside out:
    :class:`CellSpec` records whose identity is exactly the run-cache key
    (``sim.runner.cell_key``).
 2. **Dedup** — cells are merged across experiments into one unique work
-   list (first-request order), and cells already present in the context
-   memo or the on-disk cache are dropped via *silent* probes (no
-   hit/miss counting: the assembly phase owns the counters).
+   list (first-request order), and cells the grid-cell store
+   (``sim.runner.CellStore``: context memo over on-disk cache) already
+   holds are dropped via *silent* probes (no hit/miss counting: the
+   assembly phase owns the counters).
 3. **Dispatch** — the remaining cells run in a *single* fan-out through
    the persistent pool, ordered longest-processing-time-first by a cost
    model fed from recorded wall times (the fingerprint-free timing
@@ -24,11 +25,11 @@ The planner turns the run inside out:
    ``chunksize=1`` dynamic scheduling minimises the makespan tail.
 4. **Assemble** — the figures then run unchanged; every grid cell they
    request is a memo/cache hit, so their outputs are bit-identical to
-   the legacy path (cells are pure functions of their key, and hits
-   round-trip through the same JSON payloads).
+   a figure-at-a-time run (cells are pure functions of their key, and
+   hits round-trip through the same JSON payloads).
 
 Under the invariant sanitizer the planner stands down entirely: sanitize
-runs exist to recompute every cell through the full legacy path.
+runs exist to recompute every cell through ``run_suite``'s checked path.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.harness.scales import Scale, resolve_scale
-from repro.parallel import resolve_cache, resolve_jobs
+from repro.parallel import resolve_jobs
 from repro.parallel.runcache import RunCache
 from repro.secure.designs import (
     IVEC,
@@ -55,8 +56,7 @@ from repro.secure.designs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams
-from repro.sim.runner import cell_cost_key, cell_key, run_cells
-from repro.simcontext import current_context
+from repro.sim.runner import CellStore, cell_cost_key, cell_key, run_cells
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -279,35 +279,41 @@ def lpt_order(
 
 def _dispatch_pending(
     cells: Sequence[CellSpec],
-    jobs: int,
+    requested: int,
+    jobs: Optional[int],
     cache: object,
     summary: Dict[str, object],
 ) -> Dict[str, object]:
-    """Probe, LPT-order and execute the not-yet-cached subset of ``cells``.
+    """Probe, LPT-order and execute the unique ``cells`` not yet stored.
 
-    Probes are silent (``RunCache.has`` / a memo peek) so the assembly
-    phase's hit/miss counters match the legacy path.
+    Adds the counts (requested/unique/pending, jobs) to ``summary``.
+    Probes are silent (``CellStore.probe``), so the assembly phase's
+    hit/miss counters match a figure-at-a-time run. Under the sanitizer
+    nothing runs: sanitize runs must recompute every cell through
+    ``run_suite``'s checked path.
     """
-    run_cache = resolve_cache(cache)
-    run_memo = current_context().run_memo
-    pending: List[CellSpec] = []
-    for cell in cells:
-        key = cell.key()
-        if run_memo.get(key) is not None:
-            continue
-        if run_cache is not None and run_cache.has(key):
-            continue
-        pending.append(cell)
+    jobs = resolve_jobs(jobs)
+    summary.update(
+        cells_requested=requested,
+        cells_unique=len(cells),
+        cells_deduped=requested - len(cells),
+        cells_pending=0,
+        jobs=jobs,
+    )
+    if get_sanitizer() is not None:
+        summary["skipped"] = "sanitizer"
+        return summary
+    store = CellStore(cache)
+    pending = [cell for cell in cells if not store.probe(cell.key())]
     summary["cells_pending"] = len(pending)
     if not pending:
         return summary
-    model = CostModel(run_cache)
-    ordered = lpt_order(pending, model.estimate)
+    ordered = lpt_order(pending, CostModel(store.disk).estimate)
     run_cells(
         [cell.task() for cell in ordered],
+        store,
         labels=[cell.label for cell in ordered],
         jobs=jobs,
-        cache=run_cache if run_cache is not None else False,
     )
     return summary
 
@@ -317,28 +323,17 @@ def execute_plan(
     jobs: Optional[int] = None,
     cache: object = None,
 ) -> Dict[str, object]:
-    """Dispatch a plan's not-yet-cached cells in one LPT-ordered fan-out.
+    """Dispatch a plan's not-yet-stored cells in one LPT-ordered fan-out.
 
     Returns a summary dict (requested/unique/pending counts, jobs) for
     reporting; figure outputs come later, from the figures themselves.
-
-    Under the sanitizer this is a no-op: sanitize runs must recompute
-    every cell through ``run_suite``'s checked path.
+    A no-op under the sanitizer.
     """
-    jobs = resolve_jobs(jobs)
     summary: Dict[str, object] = {
         "experiments": list(plan.experiments),
         "scale": plan.scale.name,
-        "cells_requested": plan.requested,
-        "cells_unique": plan.unique,
-        "cells_deduped": plan.deduped,
-        "cells_pending": 0,
-        "jobs": jobs,
     }
-    if get_sanitizer() is not None:
-        summary["skipped"] = "sanitizer"
-        return summary
-    return _dispatch_pending(plan.cells, jobs, cache, summary)
+    return _dispatch_pending(plan.cells, plan.requested, jobs, cache, summary)
 
 
 def execute_cells(
@@ -352,22 +347,10 @@ def execute_cells(
     e.g. ``grid_experiment``'s multi-seed sweep. Same probe/LPT/dispatch
     path and sanitizer stand-down as :func:`execute_plan`.
     """
-    jobs = resolve_jobs(jobs)
     seen: Dict[str, CellSpec] = {}
     for cell in cells:
         seen.setdefault(cell.key(), cell)
-    unique = list(seen.values())
-    summary: Dict[str, object] = {
-        "cells_requested": len(cells),
-        "cells_unique": len(unique),
-        "cells_deduped": len(cells) - len(unique),
-        "cells_pending": 0,
-        "jobs": jobs,
-    }
-    if get_sanitizer() is not None:
-        summary["skipped"] = "sanitizer"
-        return summary
-    return _dispatch_pending(unique, jobs, cache, summary)
+    return _dispatch_pending(list(seen.values()), len(cells), jobs, cache, {})
 
 
 def run_all_experiments(
@@ -375,14 +358,13 @@ def run_all_experiments(
     quiet: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-    plan: bool = True,
 ) -> Dict[str, object]:
-    """Run every registered experiment, planner-prefetched by default.
+    """Run every registered experiment, planner-prefetched.
 
     The ``run_experiment("all")`` entry point: plans and dispatches the
     global unique-cell list once, then assembles each figure in name
-    order exactly as the legacy loop would. Returns ``{name: output}``
-    plus a ``"plan"`` summary entry when planning ran.
+    order, figure at a time. Returns ``{name: output}`` plus a ``"plan"``
+    summary entry.
     """
     from repro.harness.experiments import EXPERIMENTS, run_experiment
     from repro.parallel import overridden
@@ -396,9 +378,7 @@ def run_all_experiments(
         changes["cache_enabled"] = bool(cache)
     out: Dict[str, object] = {}
     with overridden(**changes):
-        if plan:
-            execution = plan_experiments(names, scale)
-            out["plan"] = execute_plan(execution)
+        out["plan"] = execute_plan(plan_experiments(names, scale))
         for name in names:
             out[name] = run_experiment(name, scale=scale, quiet=quiet)
     return out

@@ -56,14 +56,15 @@ def render_series(
 def render_execution_stats(stats: "ExecutionStats") -> str:
     """One-line-per-metric summary of the parallel execution layer.
 
-    Shows cache hit/miss counts, cell execution totals, pool utilisation
-    and the slowest cells — the numbers that tell you whether ``--jobs``
-    and the run cache are actually paying off.
+    Shows memo and cache hit counts, cache misses, cell execution totals,
+    pool utilisation and the slowest cells — the numbers that tell you
+    whether ``--jobs``, the cell memo and the run cache are paying off.
     """
     cells = stats.cells_executed
     lines = [
-        "execution: %d cell(s) run, %d cache hit(s), %d miss(es)"
-        % (cells, stats.cache_hits, stats.cache_misses)
+        "execution: %d cell(s) run, %d memo hit(s), %d cache hit(s), "
+        "%d miss(es)"
+        % (cells, stats.memo_hits, stats.cache_hits, stats.cache_misses)
     ]
     if cells:
         lines.append(

@@ -30,6 +30,7 @@ class ExecutionStats:
         self._misses = self._registry.counter("exec.cache_misses")
         self._corrupt = self._registry.counter("exec.cache_corrupt")
         self._evictions = self._registry.counter("exec.cache_evictions")
+        self._memo_hits = self._registry.counter("exec.memo_hits")
         self._memo_evictions = self._registry.counter("exec.memo_evictions")
         self._pool_spawns = self._registry.counter("exec.pool_spawns")
         self._pool_maps = self._registry.counter("exec.pool_maps")
@@ -62,6 +63,9 @@ class ExecutionStats:
     def record_cache_eviction(self, label: str = "") -> None:
         self._evictions.inc()
 
+    def record_memo_hit(self, label: str = "") -> None:
+        self._memo_hits.inc()
+
     def record_memo_evictions(self, count: int = 1) -> None:
         if count:
             self._memo_evictions.inc(count)
@@ -88,7 +92,7 @@ class ExecutionStats:
 
     @property
     def cache_hits(self) -> int:
-        """Cells served from the run cache."""
+        """Cells served from the on-disk run cache."""
         return int(self._hits.value)
 
     @property
@@ -105,6 +109,11 @@ class ExecutionStats:
     def cache_evictions(self) -> int:
         """Cache entries evicted by size-budget enforcement."""
         return int(self._evictions.value)
+
+    @property
+    def memo_hits(self) -> int:
+        """Cells served from the in-memory cell memo."""
+        return int(self._memo_hits.value)
 
     @property
     def memo_evictions(self) -> int:
@@ -164,6 +173,7 @@ class ExecutionStats:
             "cache_misses": self.cache_misses,
             "cache_corrupt": self.cache_corrupt,
             "cache_evictions": self.cache_evictions,
+            "memo_hits": self.memo_hits,
             "memo_evictions": self.memo_evictions,
             "pool_spawns": self.pool_spawns,
             "pool_maps": self.pool_maps,

@@ -172,26 +172,19 @@ class RunCache:
     def has(self, key: str) -> bool:
         """Whether an entry exists — a *silent* probe.
 
-        The planner scans the whole unique-cell list before dispatch;
-        counting those probes as hits/misses would double every counter
-        the assembly phase later records, so existence checks touch
-        neither the stats nor the entry's mtime.
+        The disk level of ``sim.runner.CellStore.probe``: the planner scans
+        its whole unique-cell list before dispatch, and counting those
+        probes as hits/misses would double every counter the assembly
+        phase later records, so existence checks touch neither the stats
+        nor the entry's mtime.
         """
         return os.path.isfile(self.path_for(key))
 
-    def put(self, key: str, payload: object, meta: Optional[dict] = None) -> None:
-        """Store one cell result (atomic rename; concurrent-writer safe).
-
-        ``meta`` rides alongside the payload (e.g. ``{"seconds": ...}``,
-        the recorded wall time run_suite attaches) without perturbing it:
-        ``get`` returns the payload only, so metadata can never leak into
-        figure outputs.
-        """
+    def put(self, key: str, payload: object) -> None:
+        """Store one cell result (atomic rename; concurrent-writer safe)."""
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {"key": key, "fingerprint": code_fingerprint(), "payload": payload}
-        if meta:
-            entry["meta"] = meta
         descriptor, temp_path = tempfile.mkstemp(
             dir=os.path.dirname(path), suffix=".tmp"
         )
@@ -203,16 +196,6 @@ class RunCache:
             if os.path.exists(temp_path):
                 os.unlink(temp_path)
             raise
-
-    def meta(self, key: str) -> Optional[dict]:
-        """The entry's stored metadata, if any (silent, like :meth:`has`)."""
-        try:
-            with open(self.path_for(key), "r") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        found = entry.get("meta") if isinstance(entry, dict) else None
-        return found if isinstance(found, dict) else None
 
     # -- cost-model timing sidecar ------------------------------------------
     #

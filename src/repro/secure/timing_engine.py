@@ -332,6 +332,10 @@ class SecureTimingEngine:
                 histogram.record(value, weight)
             acc.clear()
 
+    def release(self) -> None:
+        """Drop the built paths: each is a closure over this engine."""
+        del self.writeback, self._expand, self.warm_metadata
+
     # ------------------------------------------------------------------
     # The built paths
     # ------------------------------------------------------------------

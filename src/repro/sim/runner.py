@@ -3,9 +3,10 @@
 ``run_suite`` is the fan-out point for every performance figure: each
 (design, workload) cell is an independent pure function of its arguments,
 so cells run across a process pool (``jobs``) and bit-identical results
-merge in grid order regardless of completion order. Finished cells are
-stored in the content-addressed run cache (see ``repro.parallel.runcache``)
-and reused across figures — the SGX_O baseline recurs in Figs. 8/9/10/13/14
+merge in grid order regardless of completion order. Finished cells go
+into the grid-cell store (:class:`CellStore`: the context's memo over the
+content-addressed run cache, see ``repro.parallel.runcache``) and are
+reused across figures — the SGX_O baseline recurs in Figs. 8/9/10/13/14
 but is simulated once per code version.
 """
 
@@ -244,22 +245,6 @@ def _warm_simulator(
         ways.update(snapshot)
 
 
-# The in-memory L1 in front of the persistent run cache, keyed by the same
-# content address, lives on the context too (``SimContext.run_memo``). The
-# evaluation figures share grid cells wholesale (the SGX_O/SGX/Synergy
-# baseline grid recurs in Figs. 8/9/10, Fig. 12's two-channel leg, and
-# Fig. 13's monolithic leg), and each cell is a pure function of its key —
-# so within one scope the second figure replays the first figure's result
-# instead of re-simulating. Unlike the disk cache this cannot go stale (it
-# dies with the context and never spans a code version), so it stays on
-# even when the persistent cache is disabled. Values are JSON strings: hits
-# round-trip through ``json.loads`` so every consumer sees the same payload
-# types as a disk-cache hit, and no two figures share mutable result state.
-# The memo is a byte-budgeted LRU (``BoundedBytesMemo``): long-lived
-# service processes stream unbounded distinct specs through it, and each
-# eviction is counted as ``exec.memo_evictions`` on the scope's stats.
-
-
 def clear_run_memos() -> None:
     """Drop the active context's memos (traces, warm state, cell results).
 
@@ -270,15 +255,82 @@ def clear_run_memos() -> None:
     current_context().clear_memos()
 
 
-def _memo_put(key: str, serialized: str) -> None:
-    """Store one cell in the context memo, counting any LRU evictions."""
-    memo = current_context().run_memo
-    sanitizer = get_sanitizer()
-    if sanitizer is not None:
-        sanitizer.check_context_owner(memo, "run memo")
-    evicted = memo.put(key, serialized)
-    if evicted:
-        current_stats().record_memo_evictions(evicted)
+class CellStore:
+    """A grid cell's two reuse levels behind one lookup / probe / put.
+
+    The evaluation figures share grid cells wholesale (the SGX_O/SGX/Synergy
+    baseline grid recurs in Figs. 8/9/10, Fig. 12's two-channel leg and
+    Fig. 13's monolithic leg), and each cell is a pure function of its key
+    (:func:`cell_key`), so the second figure replays the first figure's
+    result instead of re-simulating. ``run_suite``, ``run_cells`` and the
+    planner reach cell results only through this class.
+
+    * **Memory** — the context's run memo (``SimContext.run_memo``, a
+      byte-budgeted LRU of serialized payloads). It cannot go stale (it
+      dies with the context and never spans a code version), so it stays
+      on when the disk level is off. It stands down under the invariant
+      sanitizer: sanitize runs replay every hit from disk through
+      ``check_cached_payload``.
+    * **Disk** — the optional content-addressed :class:`RunCache`, plus
+      its fingerprint-free wall-time sidecar that feeds the planner's
+      cost model.
+
+    Memory values are JSON strings: hits round-trip through ``json.loads``
+    so every consumer sees the payload types of a disk hit, and no two
+    figures share mutable result state.
+    """
+
+    __slots__ = ("memo", "disk", "stats")
+
+    def __init__(self, cache: Union[None, bool, str, RunCache] = None) -> None:
+        self.disk = resolve_cache(cache)
+        self.memo = (
+            current_context().run_memo if get_sanitizer() is None else None
+        )
+        self.stats = current_stats()
+
+    def lookup(self, key: str, label: str = "") -> Optional[dict]:
+        """The cell's payload, or ``None``; counted at the level that served it.
+
+        A memory hit counts ``exec.memo_hits``; the disk level counts its
+        own hits and misses (``RunCache.get``), and a disk hit is promoted
+        into memory.
+        """
+        if self.memo is not None:
+            serialized = self.memo.get(key)
+            if serialized is not None:
+                self.stats.record_memo_hit(label)
+                return json.loads(serialized)
+        if self.disk is None:
+            return None
+        payload = self.disk.get(key, label=label)
+        if payload is not None and self.memo is not None:
+            self._remember(key, json.dumps(payload))
+        return payload
+
+    def probe(self, key: str) -> bool:
+        """Whether either level holds the cell.
+
+        Silent: no counter, no mtime and no LRU recency is touched, so the
+        planner can scan its whole work list without skewing the counts
+        the figures record when they assemble.
+        """
+        if self.memo is not None and key in self.memo:
+            return True
+        return self.disk is not None and self.disk.has(key)
+
+    def put(self, key: str, payload: dict, cost_key: str, seconds: float) -> None:
+        """Store one executed cell: disk entry, wall-time sidecar, memo entry."""
+        if self.disk is not None:
+            self.disk.put(key, payload)
+            self.disk.record_timing(cost_key, seconds)
+        if self.memo is not None:
+            self._remember(key, json.dumps(payload))
+
+    def _remember(self, key: str, serialized: str) -> None:
+        evicted = self.memo.put(key, serialized)
+        if evicted:
+            self.stats.record_memo_evictions(evicted)
 
 
 def run_workload(
@@ -320,7 +372,7 @@ def run_workload(
             cpu_cycles=sim.cpu_cycles,
         )
         telemetry = registry.snapshot().deterministic().to_payload()
-    return RunResult(
+    result = RunResult(
         design=design.name,
         workload=label,
         ipc=sim.ipc,
@@ -339,28 +391,12 @@ def run_workload(
         metadata_hit_rate=sim.hierarchy.metadata_cache.hit_rate,
         telemetry=telemetry,
     )
+    sim.release()
+    return result
 
 
 def _workload_label(workload: Union[str, WorkloadProfile]) -> str:
     return workload if isinstance(workload, str) else workload.name
-
-
-def _cell_key(
-    design: SecureDesign,
-    workload: Union[str, WorkloadProfile],
-    config: SystemConfig,
-    energy_params: Optional[SystemEnergyParams],
-    seed: Optional[int] = None,
-) -> str:
-    """Content address of one grid cell (see repro.parallel.runcache)."""
-    return cache_key(
-        "run_workload",
-        design=design,
-        workload=workload,
-        config=config,
-        energy=energy_params or SystemEnergyParams(),
-        seed=seed,
-    )
 
 
 def cell_key(
@@ -370,12 +406,20 @@ def cell_key(
     energy_params: Optional[SystemEnergyParams] = None,
     seed: Optional[int] = None,
 ) -> str:
-    """Public cell identity — what the whole-run planner dedups on.
+    """Content address of one grid cell (see repro.parallel.runcache).
 
-    Exactly the key ``run_suite`` consults, so a cell the planner executed
-    is a guaranteed memo/cache hit when a figure later assembles it.
+    What the whole-run planner dedups and probes on, and what
+    ``run_suite`` looks up, so a cell the planner executed is a guaranteed
+    hit when a figure later assembles it.
     """
-    return _cell_key(design, workload, config, energy_params, seed)
+    return cache_key(
+        "run_workload",
+        design=design,
+        workload=workload,
+        config=config,
+        energy=energy_params or SystemEnergyParams(),
+        seed=seed,
+    )
 
 
 def cell_cost_key(
@@ -394,31 +438,6 @@ def cell_cost_key(
         energy=energy_params or SystemEnergyParams(),
         seed=seed,
     )
-
-
-def _store_result(
-    run_cache: Optional[RunCache],
-    memo_on: bool,
-    key: Optional[str],
-    task: Tuple,
-    result: RunResult,
-    seconds: float,
-) -> None:
-    """Persist one executed cell: disk entry (with wall-time metadata and
-    the cost-model timing sidecar) plus the in-context memo."""
-    if key is None:
-        return
-    payload = result.to_payload()
-    if run_cache is not None:
-        run_cache.put(key, payload, meta={"seconds": round(seconds, 6)})
-        design, workload, config, energy_params, seed = task
-        run_cache.record_timing(
-            cell_cost_key(design, workload, config, energy_params, seed),
-            seconds,
-        )
-    if memo_on:
-        _memo_put(key, json.dumps(payload))
-
 
 def _run_cell(
     task: Tuple[
@@ -454,6 +473,33 @@ def _cell_event(
     }
 
 
+def _execute(
+    store: CellStore,
+    tasks: List[Tuple],
+    keys: List[str],
+    labels: List[str],
+    jobs: int,
+    on_cell: Optional[Callable[[int, str, RunResult, float], None]],
+) -> List[RunResult]:
+    """Fan ``tasks`` over ``jobs`` workers and put every result in ``store``.
+
+    ``on_cell`` sees each cell as it lands, in submission order.
+    """
+    seconds: List[float] = []
+
+    def record(index, label, result, elapsed):
+        seconds.append(elapsed)
+        if on_cell is not None:
+            on_cell(index, label, result, elapsed)
+
+    results = parallel_map(
+        _run_cell, tasks, jobs=jobs, labels=labels, progress=record
+    )
+    for key, task, result, elapsed in zip(keys, tasks, results, seconds):
+        store.put(key, result.to_payload(), cell_cost_key(*task), elapsed)
+    return results
+
+
 def run_suite(
     designs: Iterable[SecureDesign],
     workloads: Iterable[Union[str, WorkloadProfile]],
@@ -470,6 +516,7 @@ def run_suite(
     ``--jobs`` / ``--no-cache``, or ``REPRO_JOBS`` / ``REPRO_CACHE``).
     Results are returned in grid order — designs outer, workloads inner —
     whatever the completion order, and are bit-identical to a serial run.
+    Cells already in the :class:`CellStore` are replayed, not simulated.
 
     ``seed`` re-salts trace synthesis per cell (see :func:`run_workload`).
     ``progress`` (or the thread's :func:`cell_progress` hook) receives one
@@ -481,53 +528,33 @@ def run_suite(
     designs = list(designs)
     workloads = list(workloads)
     jobs = resolve_jobs(jobs)
-    run_cache = resolve_cache(cache)
+    store = CellStore(cache)
+    sanitizer = get_sanitizer()
     progress = _active_progress(progress)
 
     cells = [(design, workload) for design in designs for workload in workloads]
     total = len(cells)
-    # The in-process memo stands down under the sanitizer: sanitize runs
-    # recompute every cell so check_cached_payload exercises the full path.
-    memo_on = get_sanitizer() is None
-    run_memo = current_context().run_memo
-    stats = current_stats()
     finished = {}
     hits = []
     pending = []
     for design, workload in cells:
         label = "%s/%s" % (design.name, _workload_label(workload))
-        key = (
-            _cell_key(design, workload, config, energy_params, seed)
-            if run_cache is not None or memo_on
-            else None
-        )
-        if key is not None and memo_on:
-            serialized = run_memo.get(key)
-            if serialized is not None:
-                stats.record_cache_hit(label)
-                result = RunResult.from_payload(json.loads(serialized))
-                finished[(design, workload)] = result
-                hits.append((label, result))
-                continue
-        if key is not None and run_cache is not None:
-            payload = run_cache.get(key, label=label)
-            if payload is not None:
-                sanitizer = get_sanitizer()
-                if sanitizer is not None:
-                    sanitizer.check_cached_payload(
-                        label,
-                        payload,
-                        lambda d=design, w=workload: run_workload(
-                            d, w, config, energy_params, seed
-                        ).to_payload(),
-                    )
-                else:
-                    _memo_put(key, json.dumps(payload))
-                result = RunResult.from_payload(payload)
-                finished[(design, workload)] = result
-                hits.append((label, result))
-                continue
-        pending.append(((design, workload), key, label))
+        key = cell_key(design, workload, config, energy_params, seed)
+        payload = store.lookup(key, label)
+        if payload is None:
+            pending.append(((design, workload), key, label))
+            continue
+        if sanitizer is not None:
+            sanitizer.check_cached_payload(
+                label,
+                payload,
+                lambda d=design, w=workload: run_workload(
+                    d, w, config, energy_params, seed
+                ).to_payload(),
+            )
+        result = RunResult.from_payload(payload)
+        finished[(design, workload)] = result
+        hits.append((label, result))
 
     done = 0
     if progress is not None:
@@ -540,34 +567,25 @@ def run_suite(
 
     if pending:
         emit = progress  # bind for the closure; progress stays Optional
-        cell_seconds: List[float] = []
 
-        def cell_progress_cb(index, label, result, elapsed):
-            # Always capture the wall time (it feeds the stored entry's
-            # metadata and the planner's cost model); forward to the user
-            # callback only when one is installed.
+        def on_cell(index, label, result, elapsed):
             nonlocal done
-            cell_seconds.append(elapsed)
-            if emit is not None:
-                done += 1
-                emit(_cell_event(label, done, total, False, elapsed, result))
+            done += 1
+            emit(_cell_event(label, done, total, False, elapsed, result))
 
-        tasks = [
-            (design, workload, config, energy_params, seed)
-            for (design, workload), _key, _label in pending
-        ]
-        results = parallel_map(
-            _run_cell,
-            tasks,
-            jobs=jobs,
-            labels=[label for _cell, _key, label in pending],
-            progress=cell_progress_cb,
+        results = _execute(
+            store,
+            [
+                (design, workload, config, energy_params, seed)
+                for (design, workload), _key, _label in pending
+            ],
+            [key for _cell, key, _label in pending],
+            [label for _cell, _key, label in pending],
+            jobs,
+            on_cell if emit is not None else None,
         )
-        for (cell, key, _label), task, result, seconds in zip(
-            pending, tasks, results, cell_seconds
-        ):
+        for (cell, _key, _label), result in zip(pending, results):
             finished[cell] = result
-            _store_result(run_cache, memo_on, key, task, result, seconds)
 
     table = ResultTable()
     for cell in cells:
@@ -581,54 +599,37 @@ def run_suite(
 
 def run_cells(
     tasks: List[Tuple],
-    labels: Optional[List[str]] = None,
+    store: CellStore,
+    labels: List[str],
     jobs: Optional[int] = None,
-    cache: Union[None, bool, str, RunCache] = None,
 ) -> List[RunResult]:
-    """Execute grid cells *as given* and populate the memo + run cache.
+    """Execute grid cells *as given* and put each result in ``store``.
 
     The whole-run planner's dispatch primitive: unlike :func:`run_suite`
-    this neither probes nor dedups — the planner already did both — it
-    fans the tasks (``(design, workload, config, energy_params, seed)``
-    tuples) over ``jobs`` workers in the order supplied (the planner's
-    LPT order), stores each result exactly as ``run_suite`` would (disk
-    entry with wall-time metadata, cost-model timing, context memo), and
-    returns results in submission order.
+    this neither looks up nor dedups — the planner already probed and
+    deduped — it fans the tasks (``(design, workload, config,
+    energy_params, seed)`` tuples) over ``jobs`` workers in the order
+    supplied (the planner's LPT order), stores each result exactly as
+    ``run_suite`` would, and returns results in submission order.
 
     Per-cell completion is streamed through the thread's
     :func:`cell_progress` hook as ``cell`` events (``planned: True``), so
     service jobs keep cell-granular progress and cancellation during a
     planned prefetch.
     """
-    if not tasks:
-        return []
-    jobs = resolve_jobs(jobs)
-    run_cache = resolve_cache(cache)
-    memo_on = get_sanitizer() is None
-    if labels is None:
-        labels = [
-            "%s/%s" % (task[0].name, _workload_label(task[1])) for task in tasks
-        ]
     hook = _active_progress(None)
     total = len(tasks)
-    cell_seconds: List[float] = []
 
     def on_cell(index, label, result, elapsed):
-        cell_seconds.append(elapsed)
-        if hook is not None:
-            event = _cell_event(label, index + 1, total, False, elapsed, result)
-            event["planned"] = True
-            hook(event)
+        event = _cell_event(label, index + 1, total, False, elapsed, result)
+        event["planned"] = True
+        hook(event)
 
-    results = parallel_map(
-        _run_cell, tasks, jobs=jobs, labels=labels, progress=on_cell
+    return _execute(
+        store,
+        tasks,
+        [cell_key(*task) for task in tasks],
+        labels,
+        resolve_jobs(jobs),
+        on_cell if hook is not None else None,
     )
-    for task, result, seconds in zip(tasks, results, cell_seconds):
-        design, workload, config, energy_params, seed = task
-        key = (
-            _cell_key(design, workload, config, energy_params, seed)
-            if run_cache is not None or memo_on
-            else None
-        )
-        _store_result(run_cache, memo_on, key, task, result, seconds)
-    return results

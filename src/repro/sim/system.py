@@ -257,6 +257,22 @@ class SystemSimulator:
         self.engine.sync_telemetry()
         return self
 
+    def release(self) -> None:
+        """Break the simulator's reference cycles; its results stay readable.
+
+        The cores and the driver call back through bound methods of this
+        simulator, and the secure engine's closures hold the engine, so a
+        finished simulator is cyclic garbage that lives until a full
+        collection happens to run. ``run_workload`` calls this once the
+        cell's result is packaged, so the cell's state dies by reference
+        count and a serial cell loop's peak memory stops depending on when
+        the collector last ran.
+        """
+        for core in self.cores:
+            del core._read_fn, core._write_fn
+        del self.driver._resolve_fn
+        self.engine.release()
+
     # -- results -----------------------------------------------------------
 
     @property

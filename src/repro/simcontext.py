@@ -36,26 +36,14 @@ the context, which keeps the import graph acyclic.
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import OrderedDict
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-#: Default byte budget for the per-context cell-result memo (the former
-#: unbounded ``sim.runner._RUN_MEMO``). Serialized cells are a few KiB of
-#: JSON, so this retains thousands of cells while bounding a long-lived
-#: service process. Overridable via ``REPRO_RUN_MEMO_BYTES``.
+#: Byte budget for the per-context cell-result memo. Serialized cells are a
+#: few KiB of JSON, so this retains thousands of cells while bounding a
+#: long-lived service process.
 DEFAULT_RUN_MEMO_BYTES = 32 * 1024 * 1024
-
-
-def _run_memo_budget() -> int:
-    value = os.environ.get("REPRO_RUN_MEMO_BYTES", "")
-    if value:
-        try:
-            return max(0, int(value))
-        except ValueError:
-            return DEFAULT_RUN_MEMO_BYTES
-    return DEFAULT_RUN_MEMO_BYTES
 
 
 class BoundedBytesMemo:
@@ -131,7 +119,8 @@ class SimContext:
     * ``aggregate`` — ``telemetry.aggregate``'s :class:`TelemetryAggregate`.
     * ``trace_memo`` / ``warm_memo`` — ``sim.runner``'s generated-trace and
       post-warmup-cache memos (bounded by wholesale clearing, as before).
-    * ``run_memo`` — the cell-result memo, now LRU-by-bytes bounded.
+    * ``run_memo`` — the cell-result memo (the memory level of
+      ``sim.runner.CellStore``), LRU-by-bytes bounded.
     * ``words_hint`` — ``workloads.generator``'s exact raw-word consumption
       hints, formerly an unbounded shared module dict.
     """
@@ -148,7 +137,7 @@ class SimContext:
         "words_hint",
     )
 
-    def __init__(self, name: str = "", run_memo_bytes: Optional[int] = None) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
         self.registry_stack: List[Any] = []
         self.tracer: Optional[Any] = None
@@ -156,9 +145,7 @@ class SimContext:
         self.aggregate: Optional[Any] = None
         self.trace_memo: Dict[Tuple[object, ...], Any] = {}
         self.warm_memo: Dict[Tuple[object, ...], Any] = {}
-        self.run_memo = BoundedBytesMemo(
-            _run_memo_budget() if run_memo_bytes is None else run_memo_bytes
-        )
+        self.run_memo = BoundedBytesMemo()
         self.words_hint: Dict[Tuple[object, ...], int] = {}
 
     def clear_memos(self) -> None:
@@ -231,14 +218,12 @@ def activate(context: SimContext) -> Iterator[SimContext]:
 
 
 @contextlib.contextmanager
-def sim_context(
-    name: str = "", run_memo_bytes: Optional[int] = None
-) -> Iterator[SimContext]:
+def sim_context(name: str = "") -> Iterator[SimContext]:
     """Enter a *fresh* :class:`SimContext` for the duration of the block.
 
     The common one-shot form of :func:`activate`: everything the block
     simulates records into (and memoises through) the new context, which is
     garbage once the block exits.
     """
-    with activate(SimContext(name=name, run_memo_bytes=run_memo_bytes)) as context:
+    with activate(SimContext(name=name)) as context:
         yield context

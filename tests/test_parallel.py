@@ -7,15 +7,18 @@ never reorder printed figure rows.
 """
 
 import dataclasses
+import os
 
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer, sanitized, sanitizer_enabled
 from repro.parallel import (
     EXECUTION_STATS,
     ExecutionStats,
     RunCache,
     cache_key,
     code_fingerprint,
+    current_stats,
     overridden,
     parallel_map,
     resolve_cache,
@@ -30,7 +33,8 @@ from repro.reliability.schemes import SECDED_SCHEME, SYNERGY_SCHEME
 from repro.secure.designs import SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.results import ResultTable, RunResult
-from repro.sim.runner import clear_run_memos, run_suite
+from repro.sim.runner import CellStore, clear_run_memos, run_suite
+from repro.simcontext import sim_context
 
 #: Tiny grid: big enough to exercise warm-up, caches and both designs,
 #: small enough that the golden comparison runs twice in seconds.
@@ -163,7 +167,15 @@ class TestRunCache:
             assert EXECUTION_STATS.cells_executed == 1
             EXECUTION_STATS.reset()
             warm = run_suite([SGX_O], ["mcf"], TINY)
-            assert EXECUTION_STATS.cache_hits == 1
+            # The cold run left the cell in both levels; the memory level
+            # serves it, except under the sanitizer, where it stands down
+            # and the hit comes from disk.
+            if sanitizer_enabled():
+                assert EXECUTION_STATS.memo_hits == 0
+                assert EXECUTION_STATS.cache_hits == 1
+            else:
+                assert EXECUTION_STATS.memo_hits == 1
+                assert EXECUTION_STATS.cache_hits == 0
             assert EXECUTION_STATS.cells_executed == 0
         assert dataclasses.asdict(cold.results[0]) == dataclasses.asdict(
             warm.results[0]
@@ -191,6 +203,93 @@ class TestRunCache:
         with overridden(jobs=3):
             assert resolve_jobs() == 3
             assert resolve_jobs(1) == 1
+
+
+class TestCellStore:
+    """The grid-cell store: memory over disk behind lookup / probe / put."""
+
+    KEY = cache_key("unit", value="cell")
+    PAYLOAD = {"answer": 42}
+
+    @pytest.fixture
+    def scope(self):
+        """A fresh context (own memo and stats), sanitizer forced off."""
+        with sanitized(False), sim_context(name="store"):
+            yield current_stats()
+
+    def test_disk_hit_is_promoted_into_memory(self, scope, tmp_path):
+        RunCache(str(tmp_path)).put(self.KEY, self.PAYLOAD)
+        store = CellStore(str(tmp_path))
+        assert store.lookup(self.KEY) == self.PAYLOAD
+        assert (scope.cache_hits, scope.memo_hits) == (1, 0)
+        assert store.lookup(self.KEY) == self.PAYLOAD
+        assert (scope.cache_hits, scope.memo_hits) == (1, 1)
+
+    def test_lookup_miss_counts_at_disk_level(self, scope, tmp_path):
+        assert CellStore(str(tmp_path)).lookup(self.KEY) is None
+        assert (scope.cache_misses, scope.cache_hits, scope.memo_hits) == (1, 0, 0)
+
+    def test_probe_touches_no_counter_and_no_mtime(self, scope, tmp_path):
+        disk = RunCache(str(tmp_path))
+        disk.put(self.KEY, self.PAYLOAD)
+        path = disk.path_for(self.KEY)
+        os.utime(path, (1_000_000, 1_000_000))
+        store = CellStore(disk)
+        assert store.probe(self.KEY)
+        assert not store.probe(cache_key("unit", value="absent"))
+        assert os.stat(path).st_mtime == 1_000_000
+        assert scope.as_dict() == ExecutionStats().as_dict()
+
+    def test_put_writes_disk_sidecar_and_memory(self, scope, tmp_path):
+        store = CellStore(str(tmp_path))
+        store.put(self.KEY, self.PAYLOAD, "c" * 64, 0.5)
+        assert store.disk.has(self.KEY)
+        assert store.disk.timing("c" * 64) == 0.5
+        assert self.KEY in store.memo
+        assert store.lookup(self.KEY) == self.PAYLOAD
+        assert (scope.memo_hits, scope.cache_hits) == (1, 0)
+
+    def test_memory_alone_without_disk(self, scope):
+        store = CellStore(False)
+        assert store.disk is None
+        assert store.lookup(self.KEY) is None
+        store.put(self.KEY, self.PAYLOAD, "c" * 64, 0.5)
+        assert store.probe(self.KEY)
+        assert store.lookup(self.KEY) == self.PAYLOAD
+        assert (scope.memo_hits, scope.cache_hits, scope.cache_misses) == (1, 0, 0)
+
+    def test_sanitizer_replays_every_hit_from_disk(self, tmp_path, monkeypatch):
+        replayed = []
+        check = Sanitizer.check_cached_payload
+
+        def spy(self, label, cached, recompute):
+            replayed.append(label)
+            check(self, label, cached, recompute)
+
+        monkeypatch.setattr(Sanitizer, "check_cached_payload", spy)
+        with sanitized(True), sim_context(name="sanitized"):
+            stats = current_stats()
+            store = CellStore(str(tmp_path))
+            assert store.memo is None
+            with overridden(cache_enabled=True, cache_dir=str(tmp_path)):
+                cold = run_suite([SGX_O], ["mcf"], TINY)
+                assert replayed == []
+                stats.reset()
+                warm = run_suite([SGX_O], ["mcf"], TINY)
+            assert replayed == ["SGX_O/mcf"]
+            assert (stats.memo_hits, stats.cache_hits) == (0, 1)
+            assert stats.cells_executed == 0
+        assert cold.results == warm.results
+
+    def test_montecarlo_is_never_served_from_memory(self):
+        with sim_context(name="mc"):
+            stats = current_stats()
+            first = simulate_failure_probability(SECDED_SCHEME, TINY_MC, cache=False)
+            second = simulate_failure_probability(SECDED_SCHEME, TINY_MC, cache=False)
+            shards = len(TINY_MC.shards())
+            assert stats.cells_executed == 2 * shards
+            assert stats.memo_hits == 0 and stats.cache_hits == 0
+        assert first == second
 
 
 def _result(design, workload, ipc=1.0):

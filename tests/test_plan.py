@@ -4,15 +4,15 @@ The contracts under test:
 
 * the planner enumerates exactly the cells the figures will request and
   dedups the overlap (figs 8/9/10 share a grid, fig 12 re-requests it);
-* a planned run assembles every figure **bit-identically** to the legacy
-  figure-at-a-time loop, at any worker count;
+* a planned run assembles every figure **bit-identically** to a
+  figure-at-a-time run, at any worker count;
 * after a planned prefetch, assembling a planned figure executes *zero*
   cells — the drift guard that keeps ``CELL_SOURCES`` in lock-step with
   the figure functions;
 * the persistent pool is reused across maps, grows by respawn, survives
   only in the process that spawned it, and shuts down idempotently;
-* run-cache entries carry wall-time metadata and the fingerprint-free
-  timing sidecar that feeds the cost model.
+* executed cells record their wall time in the fingerprint-free timing
+  sidecar that feeds the cost model.
 """
 
 import hashlib
@@ -55,7 +55,7 @@ requires_planner = pytest.mark.skipif(
     sanitizer_enabled(), reason="planner stands down under the sanitizer"
 )
 
-#: Small enough that three full planned/legacy legs run in seconds.
+#: Small enough that three full planned/figure-at-a-time legs run in seconds.
 TINY = Scale("planner-tiny", "smoke", 240, False, 20_000)
 TINY_CONFIG = SystemConfig(accesses_per_core=240)
 
@@ -148,13 +148,6 @@ class TestCostModel:
 
 
 class TestRunCacheMetadata:
-    def test_put_meta_round_trip(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        key = cache_key("unit", value=1)
-        cache.put(key, {"answer": 42}, meta={"seconds": 1.5})
-        assert cache.get(key) == {"answer": 42}
-        assert cache.meta(key) == {"seconds": 1.5}
-
     def test_has_probe_is_silent(self, tmp_path):
         stats = ExecutionStats()
         cache = RunCache(str(tmp_path), stats=stats)
@@ -228,19 +221,19 @@ def _assemble(scale):
 
 @requires_planner
 class TestPlannedLegacyEquivalence:
-    """The acceptance gate: planned output == legacy output, bit for bit."""
+    """The acceptance gate: planned output == figure-at-a-time output."""
 
     @pytest.fixture(scope="class")
     def legs(self, tmp_path_factory):
         out = {}
-        # Legacy reference: figure-at-a-time, serial, fresh memo + cache.
+        # Reference: figure at a time, serial, fresh memo + cache.
         clear_run_memos()
         with overridden(
             cache_enabled=True,
-            cache_dir=str(tmp_path_factory.mktemp("legacy")),
+            cache_dir=str(tmp_path_factory.mktemp("figure")),
             jobs=1,
         ):
-            out["legacy"] = {"digests": _assemble(TINY)}
+            out["figure"] = {"digests": _assemble(TINY)}
         for jobs in (1, 4):
             clear_run_memos()
             with overridden(
@@ -274,7 +267,7 @@ class TestPlannedLegacyEquivalence:
 
     @pytest.mark.parametrize("leg", ["planned1", "planned4"])
     def test_every_figure_bit_identical(self, legs, leg):
-        assert legs[leg]["digests"] == legs["legacy"]["digests"]
+        assert legs[leg]["digests"] == legs["figure"]["digests"]
 
     @pytest.mark.parametrize("leg", ["planned1", "planned4"])
     def test_prefetch_covers_the_whole_grid(self, legs, leg):

@@ -141,27 +141,20 @@ class TestContextResolution:
 
 class TestRunnerMemoScoping:
     def test_memo_put_counts_evictions_into_scoped_stats(self):
-        from repro.sim import runner
+        from repro.analysis.sanitizer import sanitized
+        from repro.sim.runner import CellStore
 
         baseline = EXECUTION_STATS.memo_evictions
-        with sim_context(name="tiny-memo", run_memo_bytes=100):
-            runner._memo_put("a", "x" * 40)
-            runner._memo_put("b", "y" * 40)
-            runner._memo_put("c", "z" * 40)
-            assert current_context().run_memo.evictions == 1
+        context = SimContext(name="tiny-memo")
+        context.run_memo = BoundedBytesMemo(100)
+        with sanitized(False), activate(context):
+            store = CellStore(False)
+            for key in ("a", "b", "c"):
+                store.put(key, {"v": key * 35}, "", 0.0)
+            assert context.run_memo.evictions == 1
             assert current_stats().memo_evictions == 1
             assert "memo_evictions" in current_stats().as_dict()
         assert EXECUTION_STATS.memo_evictions == baseline
-
-    def test_run_memo_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_MEMO_BYTES", "4096")
-        assert SimContext().run_memo.max_bytes == 4096
-        monkeypatch.setenv("REPRO_RUN_MEMO_BYTES", "not-a-number")
-        from repro.simcontext import DEFAULT_RUN_MEMO_BYTES
-
-        assert SimContext().run_memo.max_bytes == DEFAULT_RUN_MEMO_BYTES
-        # An explicit constructor budget beats the environment.
-        assert SimContext(run_memo_bytes=7).run_memo.max_bytes == 7
 
     def test_generator_words_hint_is_scoped(self):
         from repro.workloads.generator import generate_trace

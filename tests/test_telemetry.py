@@ -295,6 +295,7 @@ class TestExecutionStats:
             "cache_misses",
             "cache_corrupt",
             "cache_evictions",
+            "memo_hits",
             "memo_evictions",
             "pool_spawns",
             "pool_maps",

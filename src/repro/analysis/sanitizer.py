@@ -30,7 +30,7 @@ Invariants checked (paper cross-references in DESIGN.md):
 * Scheduler index — at every controller ``process()`` epoch the
   incremental FR-FCFS structures (per-channel open-row table, closed-bank
   tally, per-pool row census) agree with a fresh scan of the queues
-  against the actual bank states (the PR-5 indexed-chooser invariant).
+  against the actual bank states.
 """
 
 from __future__ import annotations
@@ -64,6 +64,24 @@ _FALSEY = ("", "0", "false", "no", "off")
 
 class SanitizerError(AssertionError):
     """An invariant the simulated hardware must uphold was violated."""
+
+
+class _WatchedSet(Dict[int, bool]):
+    """One set of a set-associative cache, standing in for the plain dict
+    while one expansion runs: ``stored`` turns true once ``tag`` is
+    written into the set (an access leaves its line resident)."""
+
+    __slots__ = ("tag", "stored")
+
+    def __init__(self, ways: Dict[int, bool], tag: int) -> None:
+        super().__init__(ways)
+        self.tag = tag
+        self.stored = False
+
+    def __setitem__(self, key: int, value: bool) -> None:
+        super().__setitem__(key, value)
+        if key == self.tag:
+            self.stored = True
 
 
 class Sanitizer:
@@ -237,16 +255,11 @@ class Sanitizer:
     # expand_read_miss_deferred / flush_epoch)
     # ------------------------------------------------------------------
 
-    def check_expansion_batch(
-        self,
-        engine: Any,
-        data_line: int,
-        when: int,
-        core: int,
-        base: int,
-        blocking: Sequence[int],
-    ) -> None:
-        """Spot-check one deferred read-miss expansion (first of each epoch).
+    def check_expansion(
+        self, engine: Any, data_line: int, when: int, core: int
+    ) -> List[int]:
+        """Run one deferred read-miss expansion and spot-check it (the
+        engine calls this for the first expansion of each epoch).
 
         The expansion must emit the specs a plain metadata walk would:
         the first gating request is the data line itself, every
@@ -254,11 +267,32 @@ class Sanitizer:
         each metadata address matches an independent recomputation from
         ``TimingMetadataMap`` (counter line, a prefix of the tree path,
         MAC line). The counter line must be resident in the dedicated
-        metadata cache afterwards — the expansion just touched it."""
+        metadata cache right after its access. That is judged on the
+        counter's set while the expansion runs, not afterwards: a later
+        tree walk (IVEC's MAC tree) may legally evict the line from the
+        same set within the expansion. Returns the gating indices."""
         self._enter("expansion_batch")
         from repro.dram.controller import RequestKind
 
         batch = engine._batch
+        base = len(batch)
+        map_ = engine.map
+        counter_line = map_.counter_line(data_line)
+        watched = None
+        if engine.design.encrypted:
+            # Watch the counter's set for the length of the expansion.
+            metadata_cache = engine.hierarchy.metadata_cache
+            sets = metadata_cache._sets
+            set_index = counter_line & metadata_cache._set_mask
+            watched = sets[set_index] = _WatchedSet(
+                sets[set_index], counter_line >> metadata_cache._set_shift
+            )
+            try:
+                blocking = engine._expand(data_line, when, core)
+            finally:
+                sets[set_index] = dict(watched)
+        else:
+            blocking = engine._expand(data_line, when, core)
         where = f"data_line={data_line:#x} when={when} base={base}"
         if not blocking or blocking[0] != base:
             self._fail(
@@ -270,9 +304,6 @@ class Sanitizer:
                 f"expansion: blocking indices {list(blocking)} not strictly "
                 f"increasing within the epoch batch of {len(batch)} [{where}]"
             )
-        map_ = engine.map
-        design = engine.design
-        counter_line = map_.counter_line(data_line)
         mac_line = map_.mac_line(data_line)
         counter_ok = {counter_line}
         counter_ok.update(map_.tree_path_from_counter(counter_line))
@@ -304,13 +335,12 @@ class Sanitizer:
                         f"expansion: mac read {line:#x} is neither the MAC "
                         f"line {mac_line:#x} nor on its MAC-tree path [{where}]"
                     )
-        if design.encrypted and not engine.hierarchy.metadata_cache.probe(
-            counter_line
-        ):
+        if watched is not None and not watched.stored:
             self._fail(
                 f"expansion: counter line {counter_line:#x} absent from the "
                 f"dedicated metadata cache right after its access [{where}]"
             )
+        return blocking
 
     def check_epoch_flush(
         self, specs: Sequence[Tuple], requests: Sequence[Any]

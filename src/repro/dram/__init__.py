@@ -4,7 +4,7 @@
 * :mod:`repro.dram.address` — line address -> (channel, rank, bank, row, col).
 * :mod:`repro.dram.bank` — per-bank open-row state and ready times.
 * :mod:`repro.dram.channel` — a channel: banks + shared data bus.
-* :mod:`repro.dram.scheduler` — FR-FCFS with write-drain watermarks.
+* :mod:`repro.dram.scheduler` — per-channel write-drain watermarks and state.
 * :mod:`repro.dram.controller` — the event-driven memory controller.
 * :mod:`repro.dram.power` — Micron-style DRAM energy accounting.
 

@@ -818,11 +818,11 @@ class MemoryController:
     def _select_pool(self, scheduler, reads, writes):
         """Drain-hysteresis pool selection (side effects preserved).
 
-        Inlined from FrFcfsScheduler.update_drain_mode: same transitions,
-        same telemetry on entering a drain burst. Runs once per decision
-        and again on a late-arrival re-choose — the burst accounting is
-        part of the bit-identical contract, so the re-choose path must
-        execute it even when the rescan itself is skipped.
+        The inlined form of ``update_drain_mode`` in ``tests/oracles.py``:
+        same transitions, same telemetry on entering a drain burst. Runs
+        once per decision and again on a late-arrival re-choose — the burst
+        accounting is part of the bit-identical contract, so the re-choose
+        path must execute it even when the rescan itself is skipped.
         """
         write_depth = len(writes)
         draining = scheduler.draining

@@ -695,8 +695,8 @@ def run_experiment(
 
     A thin wrapper that normalises ``(name, scale)`` into an
     :class:`ExperimentSpec` and defers to :func:`run_spec`, so the CLI,
-    ``tools/run_experiments.py``, ``tools/bench_snapshot.py`` and the
-    experiment service all execute requests through one validated path.
+    ``tools/run_experiments.py`` and the experiment service all execute
+    requests through one validated path.
 
     ``name="all"`` runs every registered experiment through the whole-run
     planner (one globally-deduped fan-out, then per-figure assembly).

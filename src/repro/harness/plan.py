@@ -266,10 +266,11 @@ def lpt_order(
     With ``chunksize=1`` dynamic dispatch, submitting the most expensive
     cells first is the classic LPT list schedule: no straggler can start
     last, bounding the makespan at (4/3 - 1/3m) x optimal. Ties break on
-    (label, key) so the order — and therefore the progress stream — is
-    deterministic whatever the cost table says.
+    (label, cost_key) so the order — and therefore the progress stream — is
+    deterministic whatever the cost table says, and no code edit (which
+    changes every fingerprinted ``key``) reorders it.
     """
-    return sorted(cells, key=lambda c: (-cost(c), c.label, c.key()))
+    return sorted(cells, key=lambda c: (-cost(c), c.label, c.cost_key()))
 
 
 # ---------------------------------------------------------------------------

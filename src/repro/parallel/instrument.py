@@ -3,7 +3,7 @@
 One process-global :class:`ExecutionStats` accumulates per-cell wall times,
 cache hit/miss counters and pool utilisation; the CLI renders a summary
 after each experiment (``repro.harness.report.render_execution_stats``)
-and ``tools/bench_snapshot.py`` persists it alongside wall-clock numbers.
+and ``--metrics-out`` persists it with the simulation metrics.
 
 The counters live in a private :class:`~repro.telemetry.MetricsRegistry`,
 so the execution profile merges and serialises through the same snapshot

@@ -113,9 +113,11 @@ def sdc_estimate(
 
     ``error_fit`` = assumed corrected-error rate (paper: a conservative
     100 failures per billion hours). Collision chance per correction is
-    at most attempts x 2^-mac_bits (< 1e-18); multiplying gives an SDC FIT
-    around 1e-19 — thirteen orders of magnitude below Chipkill's SDC rate,
-    matching the paper's claim.
+    at most attempts x 2^-mac_bits, and the SDC FIT is that times
+    ``error_fit``. The defaults give 16 x 2^-64 = 8.7e-19 per correction
+    and 16 x 2^-64 x 100 = 8.7e-17 FIT, one SDC per about 1.3e21 years.
+    The paper quotes ~1e-19 FIT, 867x below what this formula gives for
+    these inputs; EXPERIMENTS.md reports the mismatch.
     """
     collision = max_reconstruction_attempts * (2.0 ** -mac_bits)
     return SdcEstimate(

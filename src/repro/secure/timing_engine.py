@@ -281,12 +281,7 @@ class SecureTimingEngine:
             return self._expand(data_line, when, core)
         # Sampled sanitizer spot-check: first expansion of each epoch.
         self._san_epoch_checked = True
-        base = len(self._batch)
-        blocking = self._expand(data_line, when, core)
-        self._sanitizer.check_expansion_batch(
-            self, data_line, when, core, base, blocking
-        )
-        return blocking
+        return self._sanitizer.check_expansion(self, data_line, when, core)
 
     def flush_epoch(self) -> List[Request]:
         """Enqueue the buffered epoch batch; returns the request list.

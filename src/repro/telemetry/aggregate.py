@@ -11,8 +11,7 @@ set of cells, independent of worker count or completion order (the same
 guarantee ``ResultTable.merge()`` gives the simulation results).
 
 ``write_metrics`` is the one serialisation point shared by the CLI
-``--metrics-out``, ``tools/run_experiments.py`` and
-``tools/bench_snapshot.py``.
+``--metrics-out`` and ``tools/run_experiments.py``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ with the tests, not in ``src/repro``, because nothing at run time uses them:
   controller's fused decision step inlines;
 * :class:`ReferenceController` — FR-FCFS over those channels by plain
   windowed scan, with an unconditional rescan after late arrivals: the
-  schedule ``MemoryController.process`` must reproduce;
-* :func:`reference_choose` — the O(queue) FR-FCFS scan behind
-  ``FrFcfsScheduler.choose_indexed``;
+  schedule ``MemoryController.process`` must reproduce, its pool picked
+  by :func:`update_drain_mode` (the hysteresis ``_select_pool`` inlines);
 * :func:`generate_trace_reference` — the per-record trace-synthesis loop
   behind the batched ``generate_trace``;
 * :func:`simulate_device` / :func:`sample_device_faults` — the event-based
@@ -283,6 +282,29 @@ class ReferenceChannel(ChannelState):
         return self.banks[self.flat_bank(rank, bank)].open_row == row
 
 
+def update_drain_mode(
+    scheduler: FrFcfsScheduler, write_queue_depth: int, read_queue_depth: int
+) -> None:
+    """Hysteresis: enter drain at HIGH, leave at LOW (or when reads wait).
+
+    Counts a drain burst and records the write-queue depth on entering
+    drain, as ``MemoryController._select_pool`` does inline.
+    """
+    was_draining = scheduler.draining
+    if scheduler.draining:
+        if write_queue_depth <= scheduler.drain_low:
+            scheduler.draining = False
+    else:
+        if write_queue_depth >= scheduler.drain_high:
+            scheduler.draining = True
+    if read_queue_depth == 0 and write_queue_depth > 0:
+        # Opportunistic writes when the channel would otherwise idle.
+        scheduler.draining = True
+    if scheduler.draining and not was_draining:
+        scheduler._t_drain_bursts.inc()
+        scheduler._t_write_queue_depth.record(write_queue_depth)
+
+
 class ReferenceController(MemoryController):
     """FR-FCFS over :class:`ReferenceChannel`, decided by plain scan.
 
@@ -310,7 +332,7 @@ class ReferenceController(MemoryController):
 
     @staticmethod
     def _pool(scheduler, reads, writes):
-        scheduler.update_drain_mode(len(writes), len(reads))
+        update_drain_mode(scheduler, len(writes), len(reads))
         pool = writes if (scheduler.draining and writes) else reads
         return pool if pool else (writes or reads)
 
@@ -570,33 +592,6 @@ class ScalarTimingEngine(SecureTimingEngine):
                 for tree_line in self.map.tree_path_from_mac(mac_line):
                     if access(tree_line, is_write, design.macs_in_llc).hit:
                         break
-
-
-def reference_choose(
-    scheduler: FrFcfsScheduler, channel, reads: List, writes: List
-) -> Optional[object]:
-    """FR-FCFS by scan: the decision ``choose_indexed`` must reproduce.
-
-    Same drain-mode update (and side effects) as the indexed chooser,
-    then the oldest row hit, else the oldest request, of the selected
-    queue. Request objects expose ``flat_bank``/``row``/``arrival``; ties
-    go to the first scanned.
-    """
-    scheduler.update_drain_mode(len(writes), len(reads))
-    queue = writes if (scheduler.draining and writes) else reads
-    if not queue:
-        queue = writes if writes else reads
-    if not queue:
-        return None
-    open_rows = channel.open_rows
-    best = None
-    best_key = None
-    for request in queue:
-        hit = open_rows[request.flat_bank] == request.row
-        key = (0 if hit else 1, request.arrival)
-        if best_key is None or key < best_key:
-            best, best_key = request, key
-    return best
 
 
 def generate_trace_reference(

@@ -23,6 +23,7 @@ from repro.analysis.sanitizer import (
     get_sanitizer,
     sanitized,
 )
+from repro.cache.hierarchy import CacheConfig, CacheHierarchy
 from repro.core.cacheline_codec import (
     data_line_parity,
     encode_counter_line,
@@ -33,8 +34,12 @@ from repro.dram.controller import MemoryController, RequestKind
 from repro.dram.timing import MemoryConfig
 from repro.secure.counter_tree import CounterTree
 from repro.secure.counters import COUNTERS_PER_LINE
+from repro.secure.designs import IVEC, SYNERGY
 from repro.secure.mac import LineMacCalculator
 from repro.secure.metadata_layout import MetadataLayout
+from repro.secure.timing_engine import SecureTimingEngine
+from repro.sim.config import SystemConfig
+from repro.sim.runner import run_workload
 
 from oracles import ReferenceChannel, enqueue
 
@@ -589,6 +594,50 @@ class TestSchedulerIndexSanitizer:
             controller.channels[0].open_rows[0] += 1
             with pytest.raises(SanitizerError, match="open-row table"):
                 controller.process()
+
+
+# ---------------------------------------------------------------------------
+# Sanitizer: secure read-miss expansion
+
+
+class TestExpansionSanitizer:
+    def test_counter_evicted_later_in_the_expansion_passes(self, monkeypatch):
+        # IVEC's MAC-tree walk shares the dedicated metadata cache with
+        # the counters; on mcf it evicts the counter line it just read
+        # from the same 8-way set within one expansion. That is legal.
+        checked = Sanitizer.check_expansion
+        evicted = []
+
+        def spy(self, engine, data_line, when, core):
+            blocking = checked(self, engine, data_line, when, core)
+            counter_line = engine.map.counter_line(data_line)
+            if not engine.hierarchy.metadata_cache.probe(counter_line):
+                evicted.append(counter_line)
+            return blocking
+
+        monkeypatch.setattr(Sanitizer, "check_expansion", spy)
+        with sanitized():
+            result = run_workload(IVEC, "mcf", SystemConfig(accesses_per_core=1000))
+        assert result.ipc > 0
+        assert evicted, "the run no longer exercises an in-expansion eviction"
+
+    def test_expansion_that_skips_the_counter_is_caught(self):
+        with sanitized():
+            engine = SecureTimingEngine(
+                SYNERGY,
+                CacheHierarchy(CacheConfig(llc_bytes=512 * 64, metadata_bytes=64 * 64)),
+                MemoryController(MemoryConfig()),
+                1 << 20,
+            )
+            batch = engine._batch
+
+            def data_read_only(data_line, when, core):
+                batch.append((RequestKind.READ, data_line, when, "data", core))
+                return [len(batch) - 1]
+
+            engine._expand = data_read_only
+            with pytest.raises(SanitizerError, match="right after its access"):
+                engine.expand_read_miss_deferred(0x40, 7, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.parallel import (
     get_pool,
     overridden,
     parallel_map,
+    runcache,
     shutdown_pool,
 )
 from repro.secure.designs import SGX, SGX_O, SYNERGY
@@ -122,6 +123,23 @@ class TestLptOrder:
         assert [c.label for c in lpt_order(reversed(cells), lambda c: 1.0)] == [
             c.label for c in flat
         ]
+
+    def test_same_label_order_ignores_the_code_fingerprint(self, monkeypatch):
+        # Fig. 12's channel variants share a label; their order must not
+        # follow the fingerprinted cache key, which every code edit moves.
+        cells = [
+            CellSpec(SYNERGY, "mcf", TINY_CONFIG.with_channels(channels))
+            for channels in (2, 4, 8)
+        ]
+        assert len({cell.label for cell in cells}) == 1
+
+        def order():
+            return [cell.cost_key() for cell in lpt_order(cells, lambda c: 1.0)]
+
+        before = order()
+        for fingerprint in ("edited-a", "edited-b", "edited-c"):
+            monkeypatch.setattr(runcache, "code_fingerprint", lambda f=fingerprint: f)
+            assert order() == before
 
 
 class TestCostModel:

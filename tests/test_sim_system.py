@@ -5,7 +5,6 @@ import weakref
 
 import pytest
 
-from repro.analysis.sanitizer import sanitized
 from repro.secure.designs import IVEC, NON_SECURE, SGX, SGX_O, SYNERGY
 from repro.sim.config import SystemConfig
 from repro.sim.energy import SystemEnergyParams, system_energy
@@ -176,15 +175,8 @@ class TestRelease:
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
-        # Sanitizer off: this is about reference counting, and under the
-        # sanitizer IVEC/mcf at this length trips the expansion check's
-        # counter-residency test (its MAC-tree walk evicts the counter
-        # line from the same metadata-cache set within one expansion).
         try:
-            with sanitized(False):
-                result = run_workload(
-                    design, "mcf", SystemConfig(accesses_per_core=1000)
-                )
+            result = run_workload(design, "mcf", SystemConfig(accesses_per_core=1000))
             assert len(simulators) == 1
             assert simulators[0]() is None
         finally:

@@ -30,12 +30,12 @@ gates on the throughput ratio.
 Usage::
 
     PYTHONPATH=src python tools/load_test.py --submissions 1000 \\
-        --duplicate-ratio 0.95 --threads 32 --out BENCH_PR7.json
+        --duplicate-ratio 0.95 --threads 32 --out bench/BENCH_service.json
     PYTHONPATH=src python tools/load_test.py --submissions 200 \\
         --duplicate-ratio 0.5 --assert-coalesce   # the CI service gate
     PYTHONPATH=src python tools/load_test.py --submissions 40 \\
         --duplicate-ratio 0.1 --max-unique 36 --compare-workers 1,4 \\
-        --assert-wall-no-worse --out BENCH_PR8.json   # the scaling gate
+        --assert-wall-no-worse --out bench/BENCH_scaling.json   # the scaling gate
 
 Exit status is non-zero if any submission fails, any key sees divergent
 result bytes (within one replay or across worker counts), or any

@@ -6,6 +6,7 @@
 """
 
 import json
+import math
 import sys
 
 
@@ -21,6 +22,7 @@ PAPER = {
     "fig16": {"IVEC": 0.74, "Synergy": 1.20},
     "fig16_edp": {"IVEC": 1.90, "Synergy": 0.69},
     "fig17": {"LOTECC": 0.80, "LOTECC_WC": 0.85, "Synergy": 1.20},
+    "sdc_fit": 1e-19,
 }
 
 
@@ -159,8 +161,11 @@ def main() -> int:
     )
 
     sdc = get("sdc")
+    # The paper gives an order of magnitude; the shape holds within one.
+    sdc_orders = abs(math.log10(sdc["sdc_fit"] / PAPER["sdc_fit"]))
     w(
-        "| §IV-A | SDC FIT | ~1e-19 | %.1e | yes |" % sdc["sdc_fit"]
+        "| §IV-A | SDC FIT | ~1e-19 | %.1e | %s |"
+        % (sdc["sdc_fit"], "yes" if sdc_orders <= 1 else "NO")
     )
     w(
         "| §IV-B | effective MAC bits (data/ctr) | 60 / 62 | %.0f / %.0f | yes |"
@@ -170,8 +175,14 @@ def main() -> int:
     latency = get("correction_latency")
     w(
         "| §IV-A | MACs per access under permanent fault | <=88 then 1 | "
-        "max %.0f then %.0f | yes |"
-        % (latency["max_macs"], latency["steady_state_macs"])
+        "max %.0f then %.0f | %s |"
+        % (
+            latency["max_macs"],
+            latency["steady_state_macs"],
+            "yes"
+            if latency["max_macs"] <= 88 and latency["steady_state_macs"] == 1
+            else "NO",
+        )
     )
 
     w("")
@@ -187,6 +198,12 @@ def main() -> int:
         "* IVEC's magnitude depends on the MAC-caching-effectiveness "
         "substitution documented in DESIGN.md; the ordering "
         "(IVEC < SGX_O < Synergy) is robust."
+    )
+    w(
+        "* §IV-A SDC FIT is attempts x 2^-mac_bits x corrected-error FIT; "
+        "the inputs 16 attempts, a 64-bit MAC and 100 FIT give %.1e, %.0fx "
+        "the paper's ~1e-19. The row reports that mismatch."
+        % (sdc["sdc_fit"], sdc["sdc_fit"] / PAPER["sdc_fit"])
     )
     w(
         "* Reliability ratios move with the Monte-Carlo scrub interval "
